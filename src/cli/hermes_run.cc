@@ -18,7 +18,6 @@
  *   hermes_run --config scenario.ini --report
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +36,7 @@
 #include "sim/stat_registry.hh"
 #include "sim/warmup_cache.hh"
 #include "sweep/axis.hh"
+#include "sweep/journal.hh"
 #include "sweep/result_cache.hh"
 #include "trace/resolve.hh"
 #include "trace/suite.hh"
@@ -367,46 +367,19 @@ main(int argc, char **argv)
                 static_cast<std::size_t>(cfg.numCores), traces[0]);
         point.budget = budget;
 
-        std::string cache_spec = opt.cacheSpec;
-        if (cache_spec.empty() && !opt.noCache)
-            if (const char *env = std::getenv("HERMES_RESULT_CACHE"))
-                cache_spec = env;
-        std::unique_ptr<sweep::ResultCache> cache;
-        if (!cache_spec.empty())
-            cache = std::make_unique<sweep::ResultCache>(
-                sweep::parseResultCacheSpec(cache_spec));
-
-        std::string warmup_spec = opt.warmupCacheSpec;
-        if (warmup_spec.empty() && !opt.noWarmupCache)
-            if (const char *env = std::getenv("HERMES_WARMUP_CACHE"))
-                warmup_spec = env;
-        std::unique_ptr<WarmupCache> warmup_cache;
-        if (!warmup_spec.empty())
-            warmup_cache = std::make_unique<WarmupCache>(
-                parseWarmupCacheSpec(warmup_spec));
-
-        RunStats stats;
-        std::optional<sweep::PointResult> hit;
-        if (cache)
-            hit = cache->load(point);
-        if (hit) {
-            stats = std::move(hit->stats);
-        } else {
-            const auto t0 = std::chrono::steady_clock::now();
-            SimSession session(cfg, traces, budget);
-            stats = runSession(session, warmup_cache.get());
-            if (cache) {
-                sweep::PointResult r;
-                r.index = 0;
-                r.label = opt.label;
-                r.stats = stats;
-                r.wallSeconds = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    t0)
-                                    .count();
-                cache->store(point, r);
-            }
-        }
+        // One point through the sweep path, so both stores behave
+        // exactly as they do for hermes_sweep.
+        const auto cache =
+            openStore<sweep::ResultCache>(opt.cacheSpec, opt.noCache);
+        const auto warmup_cache =
+            openStore<WarmupCache>(opt.warmupCacheSpec, opt.noWarmupCache);
+        sweep::SweepOptions eopts;
+        eopts.threads = 1;
+        eopts.warmupCache = warmup_cache.get();
+        sweep::OrchestrateOptions oopts;
+        oopts.cache = cache.get();
+        const RunStats stats = std::move(
+            sweep::runJournaled(eopts, {point}, oopts).results[0].stats);
 
         // Keep stdout machine-parseable when a dump streams to it.
         const bool stdout_is_dump =

@@ -408,37 +408,6 @@ parseCli(int argc, char **argv)
 }
 
 /**
- * Resolve the result cache from --cache, falling back to the
- * HERMES_RESULT_CACHE environment unless --no-cache. Returns nullptr
- * when neither names a store.
- */
-std::unique_ptr<sweep::ResultCache>
-openCache(const Options &opt)
-{
-    std::string spec = opt.cacheSpec;
-    if (spec.empty() && !opt.noCache)
-        if (const char *env = std::getenv("HERMES_RESULT_CACHE"))
-            spec = env;
-    if (spec.empty())
-        return nullptr;
-    return std::make_unique<sweep::ResultCache>(
-        sweep::parseResultCacheSpec(spec));
-}
-
-/** The warmup-checkpoint analogue (--warmup-cache, HERMES_WARMUP_CACHE). */
-std::unique_ptr<WarmupCache>
-openWarmupCache(const Options &opt)
-{
-    std::string spec = opt.warmupCacheSpec;
-    if (spec.empty() && !opt.noWarmupCache)
-        if (const char *env = std::getenv("HERMES_WARMUP_CACHE"))
-            spec = env;
-    if (spec.empty())
-        return nullptr;
-    return std::make_unique<WarmupCache>(parseWarmupCacheSpec(spec));
-}
-
-/**
  * Expand (base overrides x axes) x workloads into the grid. The grid
  * order — workloads fastest, axes as declared — is part of the space
  * fingerprint, so shards and resumes of the same command line always
@@ -538,8 +507,10 @@ main(int argc, char **argv)
             return 0;
         }
 
-        std::unique_ptr<sweep::ResultCache> cache = openCache(opt);
-        std::unique_ptr<WarmupCache> warmupCache = openWarmupCache(opt);
+        std::unique_ptr<sweep::ResultCache> cache =
+            openStore<sweep::ResultCache>(opt.cacheSpec, opt.noCache);
+        std::unique_ptr<WarmupCache> warmupCache = openStore<WarmupCache>(
+            opt.warmupCacheSpec, opt.noWarmupCache);
 
         // Server mode: hold a job queue open until a client asks it to
         // shut down. Results persist in the cache; pending submissions

@@ -14,6 +14,7 @@
 #include "sim/report.hh"
 #include "sim/stat_registry.hh"
 #include "sweep/result_cache.hh"
+#include "trace/trace_io.hh"
 
 namespace hermes::sweep
 {
@@ -783,6 +784,7 @@ JournalWriter::writeLine(const std::string &line)
         std::fflush(file_) != 0)
         throw std::runtime_error("journal: write failed on " + path_);
     static_cast<void>(fsync(fileno(file_)));
+    written_ += line.size();
 }
 
 void
@@ -790,7 +792,46 @@ JournalWriter::beginGrid(const std::vector<GridPoint> &grid)
 {
     std::lock_guard<std::mutex> g(mutex_);
     grid_ = &grid;
+    segmentStart_ = written_;
+    order_.clear();
     writeLine(encodeHeader(spaceFingerprint(grid), grid.size()) + "\n");
+}
+
+void
+JournalWriter::canonicalize()
+{
+    std::lock_guard<std::mutex> g(mutex_);
+    if (std::is_sorted(order_.begin(), order_.end()))
+        return;
+    std::ifstream in(path_, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    if (text.size() != written_)
+        throw std::runtime_error("journal: " + path_ +
+                                 " changed under its writer");
+    // Keep everything through this segment's header; the record lines
+    // after it pair up with order_ (one line per append, file order).
+    const std::size_t body = text.find('\n', segmentStart_) + 1;
+    std::vector<std::pair<std::size_t, std::string>> records;
+    for (std::size_t pos = body, k = 0; pos < text.size(); ++k) {
+        const std::size_t end = text.find('\n', pos) + 1;
+        records.emplace_back(order_.at(k), text.substr(pos, end - pos));
+        pos = end;
+    }
+    std::sort(records.begin(), records.end());
+    std::string out = text.substr(0, body);
+    for (const auto &rec : records)
+        out += rec.second;
+    auto sink = openByteSink(path_, Compression::None);
+    sink->write(out.data(), out.size());
+    sink->finish();
+    std::fclose(file_);
+    file_ = std::fopen(path_.c_str(), "ab");
+    if (file_ == nullptr)
+        throw std::runtime_error("journal: cannot append to " + path_ +
+                                 ": " + std::strerror(errno));
+    std::sort(order_.begin(), order_.end());
 }
 
 void
@@ -807,6 +848,7 @@ JournalWriter::append(const PointResult &r)
     rec.pointFp = pointFingerprint((*grid_)[r.index]);
     rec.result = r;
     writeLine(encodeRecord(rec) + "\n");
+    order_.push_back(r.index);
 }
 
 bool
@@ -923,6 +965,8 @@ runJournaled(const SweepOptions &engine_opts,
             ++out.simulated;
         }
     }
+    if (opts.journal != nullptr)
+        opts.journal->canonicalize();
     return out;
 }
 

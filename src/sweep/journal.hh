@@ -154,6 +154,14 @@ class JournalWriter
      */
     void append(const PointResult &r);
 
+    /**
+     * Atomically republish the file with the current segment's records
+     * in grid-index order (a no-op when they already are) and reopen it
+     * for appending. runJournaled calls this on a clean exit, so no
+     * journal depends on completion order or thread count.
+     */
+    void canonicalize();
+
     const std::string &path() const { return path_; }
 
   private:
@@ -164,6 +172,11 @@ class JournalWriter
     std::FILE *file_ = nullptr;
     std::mutex mutex_;
     const std::vector<GridPoint> *grid_ = nullptr;
+    /** Bytes written so far, and where the current segment begins. */
+    std::size_t written_ = 0;
+    std::size_t segmentStart_ = 0;
+    /** Grid index of each record of the current segment, file order. */
+    std::vector<std::size_t> order_;
 };
 
 /** Shard/resume/journal plan for one orchestrated grid run. */

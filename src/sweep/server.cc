@@ -26,6 +26,7 @@
 #include "sweep/axis.hh"
 #include "sweep/journal.hh"
 #include "trace/resolve.hh"
+#include "trace/trace_io.hh"
 #include "trace/suite.hh"
 
 namespace hermes::sweep
@@ -408,28 +409,12 @@ struct SweepServer::Impl
     void
     compactQueue()
     {
-        const std::string tmp = queuePath + ".tmp";
-        std::FILE *f = std::fopen(tmp.c_str(), "wb");
-        if (f == nullptr)
-            throw std::runtime_error("server: cannot write " + tmp +
-                                     ": " + std::strerror(errno));
-        bool ok = true;
-        for (const std::uint64_t fp : queue) {
-            const Job &job = jobs.at(fp);
-            const std::string line =
-                fingerprintHex(fp) + " " + job.spec + "\n";
-            ok &= std::fwrite(line.data(), 1, line.size(), f) ==
-                  line.size();
-        }
-        ok = ok && std::fflush(f) == 0;
-        if (ok)
-            static_cast<void>(fsync(fileno(f)));
-        std::fclose(f);
-        if (!ok || std::rename(tmp.c_str(), queuePath.c_str()) != 0) {
-            static_cast<void>(unlink(tmp.c_str()));
-            throw std::runtime_error("server: cannot compact " +
-                                     queuePath);
-        }
+        std::string text;
+        for (const std::uint64_t fp : queue)
+            text += fingerprintHex(fp) + " " + jobs.at(fp).spec + "\n";
+        auto sink = openByteSink(queuePath, Compression::None);
+        sink->write(text.data(), text.size());
+        sink->finish();
         queueFile = std::fopen(queuePath.c_str(), "ab");
         if (queueFile == nullptr)
             throw std::runtime_error("server: cannot append to " +

@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -303,16 +304,19 @@ class XzSource final : public ByteSource
 // ---------------------------------------------------------------------
 
 /**
- * Shared atomic-publish plumbing: a temporary next to the destination
- * that commit() fsyncs and renames into place (the result_cache
- * publish discipline).
+ * The one atomic-publish path (traces, store entries, journal and
+ * queue rewrites): a temporary next to the destination that commit()
+ * fsyncs and renames into place. The temporary is named by pid plus a
+ * per-process counter, so concurrent writers of one destination —
+ * threads or processes — never share it.
  */
 class AtomicFile
 {
   public:
     explicit AtomicFile(std::string path)
         : path_(std::move(path)),
-          tmp_(path_ + ".tmp." + std::to_string(::getpid()))
+          tmp_(path_ + ".tmp." + std::to_string(::getpid()) + "." +
+               std::to_string(nextTmpId()))
     {
         f_ = std::fopen(tmp_.c_str(), "wb");
         if (f_ == nullptr)
@@ -355,6 +359,13 @@ class AtomicFile
     const std::string &path() const { return path_; }
 
   private:
+    static std::uint64_t
+    nextTmpId()
+    {
+        static std::atomic<std::uint64_t> next{0};
+        return next.fetch_add(1, std::memory_order_relaxed);
+    }
+
     std::string path_;
     std::string tmp_;
     std::FILE *f_ = nullptr;

@@ -1,13 +1,17 @@
 // Tests for the content-addressed result store: cold/warm determinism
-// (a second run simulates nothing and reproduces every byte), corrupt
-// entry rejection + re-simulation, concurrent shards sharing one
-// store, LRU eviction and the cache spec parser.
+// (a second run simulates nothing and reproduces every byte), thread
+// count invariance of journals and dumps, corrupt entry rejection +
+// re-simulation, concurrent shards sharing one store and LRU
+// eviction. The store primitive and its spec grammar are covered by
+// test_content_store.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <thread>
 
@@ -78,36 +82,6 @@ spit(const std::string &path, const std::string &text)
 {
     std::ofstream out(path, std::ios::binary);
     out << text;
-}
-
-TEST(ResultCacheSpec, ParsesDirAndLimits)
-{
-    const auto plain = sweep::parseResultCacheSpec("/tmp/c");
-    EXPECT_EQ(plain.dir, "/tmp/c");
-    EXPECT_EQ(plain.maxBytes, 0u);
-    EXPECT_EQ(plain.maxEntries, 0u);
-
-    const auto full = sweep::parseResultCacheSpec(
-        "cache,max_bytes=2M,max_entries=100");
-    EXPECT_EQ(full.dir, "cache");
-    EXPECT_EQ(full.maxBytes, 2u * 1024 * 1024);
-    EXPECT_EQ(full.maxEntries, 100u);
-}
-
-TEST(ResultCacheSpec, RejectsMalformedSpecs)
-{
-    EXPECT_THROW(sweep::parseResultCacheSpec(""),
-                 std::invalid_argument);
-    EXPECT_THROW(sweep::parseResultCacheSpec(",max_entries=1"),
-                 std::invalid_argument);
-    EXPECT_THROW(sweep::parseResultCacheSpec("c,max_bytes=0"),
-                 std::invalid_argument);
-    EXPECT_THROW(sweep::parseResultCacheSpec("c,max_bytes=x"),
-                 std::invalid_argument);
-    EXPECT_THROW(sweep::parseResultCacheSpec("c,max_entries=-3"),
-                 std::invalid_argument);
-    EXPECT_THROW(sweep::parseResultCacheSpec("c,bogus=1"),
-                 std::invalid_argument);
 }
 
 TEST(ResultCache, StoreLoadRoundTripVerifiesEverything)
@@ -196,6 +170,84 @@ TEST(ResultCache, WarmRunSimulatesNothingAndMatchesByteForByte)
     EXPECT_EQ(slurp(j2), slurp(j1));
     std::remove(j1.c_str());
     std::remove(j2.c_str());
+}
+
+/** @p journal minus its per-record host timing (wall, host). */
+std::string
+withoutHostTiming(const std::string &journal)
+{
+    static const std::regex timing(",\"wall\":[^,]*,\"host\":\\[[^\\]]*\\]");
+    return std::regex_replace(journal, timing, "");
+}
+
+TEST(ResultCache, JournalsCsvAndFingerprintsIgnoreThreadCount)
+{
+    // Nothing a sweep writes may depend on its thread count or its
+    // completion order: cold runs at 1, 2 and every hardware thread
+    // agree on CSV, fingerprints and (host timing aside) journals...
+    const auto grid = smallGrid();
+    const int wide = static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+    const std::string tmp = ::testing::TempDir();
+    std::string csv;
+    std::string journal;
+    std::uint64_t fp = 0;
+    std::string wide_dir;
+    std::string wide_csv; // host columns included
+    for (const int threads : {1, 2, wide}) {
+        const std::string path =
+            tmp + "cache_threads" + std::to_string(threads) + ".jsonl";
+        wide_dir = tempDir("threads" + std::to_string(threads));
+        sweep::ResultCache cache({wide_dir, 0, 0});
+        sweep::SweepOptions eopts;
+        eopts.threads = threads;
+        sweep::OrchestratedRun run;
+        {
+            sweep::JournalWriter w(path);
+            sweep::OrchestrateOptions oopts;
+            oopts.journal = &w;
+            oopts.cache = &cache;
+            run = sweep::runJournaled(eopts, grid, oopts);
+        }
+        ASSERT_EQ(run.simulated, grid.size());
+        if (threads == 1) {
+            csv = sweep::toCsv(run.results);
+            journal = withoutHostTiming(slurp(path));
+            fp = sweep::sweepFingerprint(run.results);
+        }
+        EXPECT_EQ(sweep::toCsv(run.results), csv) << threads;
+        EXPECT_EQ(withoutHostTiming(slurp(path)), journal) << threads;
+        EXPECT_EQ(sweep::sweepFingerprint(run.results), fp) << threads;
+        wide_csv = sweep::toCsv(run.results, true);
+    }
+
+    // ...and replaying the store the widest run filled reproduces its
+    // journal byte for byte, host timing included, at every count.
+    const std::string cold = tmp + "cache_threads" +
+                             std::to_string(wide) + ".jsonl";
+    sweep::ResultCache cache({wide_dir, 0, 0});
+    for (const int threads : {1, 2, wide}) {
+        const std::string path = tmp + "cache_threads_warm.jsonl";
+        sweep::SweepOptions eopts;
+        eopts.threads = threads;
+        sweep::OrchestratedRun run;
+        {
+            sweep::JournalWriter w(path);
+            sweep::OrchestrateOptions oopts;
+            oopts.journal = &w;
+            oopts.cache = &cache;
+            run = sweep::runJournaled(eopts, grid, oopts);
+        }
+        EXPECT_EQ(run.cached, grid.size());
+        EXPECT_EQ(slurp(path), slurp(cold)) << threads;
+        EXPECT_EQ(sweep::toCsv(run.results, true), wide_csv) << threads;
+        std::remove(path.c_str());
+        std::remove((path + ".bak").c_str());
+    }
+    for (const int threads : {1, 2, wide})
+        std::remove((tmp + "cache_threads" + std::to_string(threads) +
+                     ".jsonl")
+                        .c_str());
 }
 
 TEST(ResultCache, CorruptEntryIsRejectedAndResimulated)

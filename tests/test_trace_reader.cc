@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -34,6 +35,20 @@ fileExists(const std::string &path)
 {
     struct stat st;
     return ::stat(path.c_str(), &st) == 0;
+}
+
+/** This process's hidden temporaries of @p path ("<path>.tmp.<pid>.<n>"). */
+std::size_t
+tmpFilesOf(const std::string &path)
+{
+    namespace fs = std::filesystem;
+    const fs::path dest(path);
+    const std::string prefix = dest.filename().string() + ".tmp." +
+                               std::to_string(::getpid()) + ".";
+    std::size_t n = 0;
+    for (const auto &e : fs::directory_iterator(dest.parent_path()))
+        n += e.path().filename().string().rfind(prefix, 0) == 0 ? 1 : 0;
+    return n;
 }
 
 /** Deterministic fixed-pattern workload (no RNG, easy to verify). */
@@ -394,7 +409,6 @@ TEST_F(TraceReaderTest, AbandonedWriterLeavesNoResidue)
     // Dropping a writer without finish() (simulated crash) must leave
     // neither the destination nor the hidden temporary behind.
     const std::string p = path(".hrm");
-    const std::string tmp = p + ".tmp." + std::to_string(::getpid());
     {
         auto writer = openTraceWriter(p, TraceFormat::Hrmtrace,
                                       Compression::None, 100, "crash",
@@ -404,10 +418,10 @@ TEST_F(TraceReaderTest, AbandonedWriterLeavesNoResidue)
         t.vaddr = 0x1000;
         for (int i = 0; i < 50; ++i)
             writer->append(t);
-        EXPECT_TRUE(fileExists(tmp));
+        EXPECT_EQ(tmpFilesOf(p), 1u);
         EXPECT_FALSE(fileExists(p));
     }
-    EXPECT_FALSE(fileExists(tmp));
+    EXPECT_EQ(tmpFilesOf(p), 0u);
     EXPECT_FALSE(fileExists(p));
 }
 
