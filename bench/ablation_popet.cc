@@ -29,7 +29,7 @@ Outcome
 evaluate(const PopetParams &params, const SimBudget &b,
          const std::vector<TraceResult> &nopf)
 {
-    SystemConfig cfg = withHermes(cfgBaseline(), PredictorKind::Popet, 6);
+    SystemConfig cfg = withHermes(cfgBaseline(), "popet", 6);
     cfg.popet = params;
     const auto rs = runSuite(cfg, b);
     PredictorStats all;

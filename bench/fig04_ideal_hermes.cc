@@ -27,10 +27,10 @@ main(int argc, char **argv)
 
     Table a({"config", "geomean speedup vs no-pf"});
     const auto ideal_alone =
-        runSuite(withHermes(cfgNoPrefetch(), PredictorKind::Ideal), b);
+        runSuite(withHermes(cfgNoPrefetch(), "ideal"), b);
     const auto pyth = runSuite(cfgBaseline(), b);
     const auto pyth_ideal =
-        runSuite(withHermes(cfgBaseline(), PredictorKind::Ideal), b);
+        runSuite(withHermes(cfgBaseline(), "ideal"), b);
     a.addRow({"Ideal Hermes", Table::fmt(geomeanSpeedup(ideal_alone,
                                                         nopf))});
     a.addRow({"Pythia (baseline)", Table::fmt(geomeanSpeedup(pyth,
@@ -44,16 +44,13 @@ main(int argc, char **argv)
                          1.0));
 
     Table t({"prefetcher", "pf-only", "pf + Ideal Hermes", "gain"});
-    for (auto pf : {PrefetcherKind::Pythia, PrefetcherKind::Bingo,
-                    PrefetcherKind::Spp, PrefetcherKind::Mlop,
-                    PrefetcherKind::Sms}) {
+    for (auto pf : {"pythia", "bingo", "spp", "mlop", "sms"}) {
         const auto base = runSuite(cfgPrefetcher(pf), b);
         const auto with =
-            runSuite(withHermes(cfgPrefetcher(pf), PredictorKind::Ideal),
-                     b);
+            runSuite(withHermes(cfgPrefetcher(pf), "ideal"), b);
         const double sb = geomeanSpeedup(base, nopf);
         const double sw = geomeanSpeedup(with, nopf);
-        t.addRow({prefetcherKindName(pf), Table::fmt(sb), Table::fmt(sw),
+        t.addRow({pf, Table::fmt(sb), Table::fmt(sw),
                   Table::pct(sw / sb - 1.0)});
     }
     t.print("Fig. 4b: Ideal Hermes with different prefetchers");

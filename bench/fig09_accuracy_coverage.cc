@@ -24,8 +24,7 @@ main(int argc, char **argv)
     const SimBudget b = budget(120'000, 300'000);
 
     Table t({"predictor", "category", "accuracy", "coverage"});
-    for (auto pk : {PredictorKind::Hmp, PredictorKind::Ttp,
-                    PredictorKind::Popet}) {
+    for (auto pk : {"hmp", "ttp", "popet"}) {
         const auto rs =
             runSuite(withPredictorOnly(cfgBaseline(), pk), b);
         std::map<std::string, PredictorStats> agg;
@@ -45,9 +44,9 @@ main(int argc, char **argv)
             }
         }
         for (const auto &[cat, p] : agg)
-            t.addRow({predictorKindName(pk), cat,
+            t.addRow({pk, cat,
                       Table::pct(p.accuracy()), Table::pct(p.coverage())});
-        t.addRow({predictorKindName(pk), "AVG", Table::pct(all.accuracy()),
+        t.addRow({pk, "AVG", Table::pct(all.accuracy()),
                   Table::pct(all.coverage())});
     }
     t.print("Fig. 9: accuracy and coverage of HMP / TTP / POPET");

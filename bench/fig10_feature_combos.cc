@@ -23,8 +23,7 @@ namespace
 PredictorStats
 runMask(unsigned mask, const SimBudget &b)
 {
-    SystemConfig cfg = withPredictorOnly(cfgBaseline(),
-                                         PredictorKind::Popet);
+    SystemConfig cfg = withPredictorOnly(cfgBaseline(), "popet");
     cfg.popet.featureMask = mask;
     PredictorStats all;
     for (const auto &r : runSuite(cfg, b)) {

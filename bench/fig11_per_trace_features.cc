@@ -30,8 +30,7 @@ main(int argc, char **argv)
         kPopetFeatureCount);
     std::vector<std::string> names;
     for (unsigned f = 0; f < kPopetFeatureCount; ++f) {
-        SystemConfig cfg = withPredictorOnly(cfgBaseline(),
-                                             PredictorKind::Popet);
+        SystemConfig cfg = withPredictorOnly(cfgBaseline(), "popet");
         cfg.popet.featureMask = 1u << f;
         for (const auto &r : runSuite(cfg, b)) {
             if (f == 0)

@@ -26,10 +26,10 @@ main(int argc, char **argv)
     const SimBudget b = budget(120'000, 300'000);
     const auto nopf = runSuite(cfgNoPrefetch(), b);
     const auto herm =
-        runSuite(withHermes(cfgNoPrefetch(), PredictorKind::Popet, 6), b);
+        runSuite(withHermes(cfgNoPrefetch(), "popet", 6), b);
     const auto pyth = runSuite(cfgBaseline(), b);
     const auto both =
-        runSuite(withHermes(cfgBaseline(), PredictorKind::Popet, 6), b);
+        runSuite(withHermes(cfgBaseline(), "popet", 6), b);
 
     // (a) stall-cycle reduction of Pythia+Hermes vs Pythia.
     std::vector<double> reductions;

@@ -61,15 +61,15 @@ main(int argc, char **argv)
     };
     SystemConfig base8 = SystemConfig::baseline(8);
     SystemConfig pyth8 = base8;
-    pyth8.prefetcher = PrefetcherKind::Pythia;
+    pyth8.prefetcher = "pythia";
     std::vector<Named> cfgs = {
         {"Pythia (baseline)", pyth8},
         {"Pythia+Hermes-HMP",
-         withHermes(pyth8, PredictorKind::Hmp, 6)},
+         withHermes(pyth8, "hmp", 6)},
         {"Pythia+Hermes-TTP",
-         withHermes(pyth8, PredictorKind::Ttp, 6)},
+         withHermes(pyth8, "ttp", 6)},
         {"Pythia+Hermes-POPET",
-         withHermes(pyth8, PredictorKind::Popet, 6)},
+         withHermes(pyth8, "popet", 6)},
     };
 
     const auto mix_list = mixes();

@@ -50,12 +50,10 @@ main(int argc, char **argv)
         };
         const auto nopf = runSuite(with_bw(cfgNoPrefetch()), b);
         const auto herm = runSuite(
-            with_bw(withHermes(cfgNoPrefetch(), PredictorKind::Popet, 6)),
-            b);
+            with_bw(withHermes(cfgNoPrefetch(), "popet", 6)), b);
         const auto pyth = runSuite(with_bw(cfgBaseline()), b);
         const auto both = runSuite(
-            with_bw(withHermes(cfgBaseline(), PredictorKind::Popet, 6)),
-            b);
+            with_bw(withHermes(cfgBaseline(), "popet", 6)), b);
         t.addRow({std::to_string(mtps),
                   Table::fmt(geomeanSpeedup(herm, nopf)),
                   Table::fmt(geomeanSpeedup(pyth, nopf)),

@@ -24,17 +24,15 @@ main(int argc, char **argv)
 
     Table t({"prefetcher", "pf-only", "pf+Hermes-P", "pf+Hermes-O",
              "Hermes-O gain"});
-    for (auto pf : {PrefetcherKind::Pythia, PrefetcherKind::Bingo,
-                    PrefetcherKind::Spp, PrefetcherKind::Mlop,
-                    PrefetcherKind::Sms}) {
+    for (auto pf : {"pythia", "bingo", "spp", "mlop", "sms"}) {
         const auto base = runSuite(cfgPrefetcher(pf), b);
         const auto hp = runSuite(
-            withHermes(cfgPrefetcher(pf), PredictorKind::Popet, 18), b);
+            withHermes(cfgPrefetcher(pf), "popet", 18), b);
         const auto ho = runSuite(
-            withHermes(cfgPrefetcher(pf), PredictorKind::Popet, 6), b);
+            withHermes(cfgPrefetcher(pf), "popet", 6), b);
         const double sb = geomeanSpeedup(base, nopf);
         const double sho = geomeanSpeedup(ho, nopf);
-        t.addRow({prefetcherKindName(pf), Table::fmt(sb),
+        t.addRow({pf, Table::fmt(sb),
                   Table::fmt(geomeanSpeedup(hp, nopf)), Table::fmt(sho),
                   Table::pct(sho / sb - 1.0)});
     }

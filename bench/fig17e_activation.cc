@@ -25,8 +25,7 @@ main(int argc, char **argv)
 
     Table t({"tau_act", "accuracy", "coverage", "speedup vs no-pf"});
     for (int tau = -38; tau <= 2; tau += 4) {
-        SystemConfig cfg = withHermes(cfgBaseline(), PredictorKind::Popet,
-                                      6);
+        SystemConfig cfg = withHermes(cfgBaseline(), "popet", 6);
         cfg.popet.activationThreshold = tau;
         const auto rs = runSuite(cfg, b);
         PredictorStats all;

@@ -29,10 +29,10 @@ main(int argc, char **argv)
     };
     const Named cfgs[] = {
         {"no-prefetching", cfgNoPrefetch()},
-        {"Hermes", withHermes(cfgNoPrefetch(), PredictorKind::Popet, 6)},
+        {"Hermes", withHermes(cfgNoPrefetch(), "popet", 6)},
         {"Pythia", cfgBaseline()},
         {"Pythia+Hermes",
-         withHermes(cfgBaseline(), PredictorKind::Popet, 6)},
+         withHermes(cfgBaseline(), "popet", 6)},
     };
 
     Table t({"config", "L1", "L2", "LLC", "bus+DRAM", "other", "total",

@@ -31,13 +31,11 @@ main(int argc, char **argv)
 
     Table t({"prefetcher", "pf vs no-pf", "pf+Hermes vs no-pf",
              "Hermes adds"});
-    for (auto pf : {PrefetcherKind::Pythia, PrefetcherKind::Bingo,
-                    PrefetcherKind::Spp, PrefetcherKind::Mlop,
-                    PrefetcherKind::Sms}) {
+    for (auto pf : {"pythia", "bingo", "spp", "mlop", "sms"}) {
         const double r0 = reads(runSuite(cfgPrefetcher(pf), b));
         const double r1 = reads(runSuite(
-            withHermes(cfgPrefetcher(pf), PredictorKind::Popet, 6), b));
-        t.addRow({prefetcherKindName(pf),
+            withHermes(cfgPrefetcher(pf), "popet", 6), b));
+        t.addRow({pf,
                   Table::pct(r0 / base_reads - 1.0),
                   Table::pct(r1 / base_reads - 1.0),
                   Table::pct((r1 - r0) / r0)});

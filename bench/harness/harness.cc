@@ -464,25 +464,14 @@ budget(std::uint64_t warmup, std::uint64_t sim)
 SystemConfig
 cfgNoPrefetch()
 {
-    SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = PrefetcherKind::None;
-    return cfg;
-}
-
-SystemConfig
-cfgPrefetcher(PrefetcherKind pf)
-{
-    SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = pf;
-    return cfg;
+    return SystemConfig::baseline(1);
 }
 
 SystemConfig
 cfgPrefetcher(const std::string &pf)
 {
     SystemConfig cfg = SystemConfig::baseline(1);
-    // The registry route: resolves registry-only prefetchers too, and
-    // rejects typos with a nearest-name suggestion.
+    // The registry route: rejects typos with a nearest-name suggestion.
     ParamRegistry::instance().apply(cfg, "prefetcher", pf);
     return cfg;
 }
@@ -490,16 +479,7 @@ cfgPrefetcher(const std::string &pf)
 SystemConfig
 cfgBaseline()
 {
-    return cfgPrefetcher(PrefetcherKind::Pythia);
-}
-
-SystemConfig
-withHermes(SystemConfig cfg, PredictorKind pred, Cycle issue_latency)
-{
-    cfg.predictor = pred;
-    cfg.hermesIssueEnabled = true;
-    cfg.hermesIssueLatency = issue_latency;
-    return cfg;
+    return cfgPrefetcher("pythia");
 }
 
 SystemConfig
@@ -513,9 +493,9 @@ withHermes(SystemConfig cfg, const std::string &pred,
 }
 
 SystemConfig
-withPredictorOnly(SystemConfig cfg, PredictorKind pred)
+withPredictorOnly(SystemConfig cfg, const std::string &pred)
 {
-    cfg.predictor = pred;
+    ParamRegistry::instance().apply(cfg, "predictor", pred);
     cfg.hermesIssueEnabled = false;
     return cfg;
 }

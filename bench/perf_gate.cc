@@ -61,7 +61,7 @@ main(int argc, char **argv)
     initCli(static_cast<int>(fwd.size()), fwd.data());
 
     const SystemConfig cfg =
-        withHermes(cfgBaseline(), PredictorKind::Popet);
+        withHermes(cfgBaseline(), "popet");
     const SimBudget b = budget();
     const auto results = runSuite(cfg, b);
 

@@ -12,6 +12,8 @@
 #include "predictor/hmp.hh"
 #include "predictor/popet.hh"
 #include "predictor/ttp.hh"
+#include "prefetch/prefetcher.hh"
+#include "sim/model_registry.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -31,16 +33,16 @@ main(int argc, char **argv)
 
     const struct
     {
-        PrefetcherKind kind;
+        const char *name;
         const char *paper;
     } pf[] = {
-        {PrefetcherKind::Pythia, "25.5"}, {PrefetcherKind::Bingo, "46"},
-        {PrefetcherKind::Spp, "39.3"},    {PrefetcherKind::Mlop, "8"},
-        {PrefetcherKind::Sms, "20"},
+        {"pythia", "25.5"}, {"bingo", "46"}, {"spp", "39.3"},
+        {"mlop", "8"},      {"sms", "20"},
     };
     for (const auto &p : pf) {
-        const auto pref = makePrefetcher(p.kind);
-        t.addRow({prefetcherKindName(p.kind),
+        const auto pref =
+            ModelRegistry::instance().makePrefetcher(p.name, {});
+        t.addRow({p.name,
                   Table::fmt(pref->storageBits() / 8192.0, 1), p.paper});
     }
 

@@ -28,6 +28,7 @@
 #include <sstream>
 
 #include "common/config.hh"
+#include "sim/param_registry.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_file.hh"
@@ -71,10 +72,8 @@ recordTrace(const Config &cfg)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config cfg;
     cfg.parseArgs(argc, argv);
@@ -102,10 +101,12 @@ main(int argc, char **argv)
 
     const int cores = static_cast<int>(cfg.get("cores", std::int64_t{1}));
     SystemConfig sys = SystemConfig::baseline(cores);
-    sys.prefetcher = prefetcherKindFromString(
-        cfg.get("prefetcher", std::string("none")));
-    sys.predictor = predictorKindFromString(
-        cfg.get("predictor", std::string("none")));
+    // The registry route: registry-only models (hashperc, ipcp) are
+    // selectable too, and typos get a nearest-name suggestion.
+    for (const char *key : {"prefetcher", "predictor"})
+        if (cfg.contains(key))
+            ParamRegistry::instance().apply(sys, key,
+                                            cfg.get(key, std::string()));
     sys.hermesIssueEnabled = cfg.get("hermes", false);
     sys.hermesIssueLatency = static_cast<Cycle>(
         cfg.get("hermes_latency", std::int64_t{6}));
@@ -146,13 +147,7 @@ main(int argc, char **argv)
         const std::string trace_name =
             cfg.get("trace", std::string("spec06.mcf_like.0"));
         label = trace_name;
-        const TraceSpec spec = findTrace(trace_name);
-        if (cores == 1) {
-            stats = simulateOne(sys, spec, budget);
-        } else {
-            std::vector<TraceSpec> mix(cores, spec);
-            stats = simulateMix(sys, mix, budget);
-        }
+        stats = simulate(sys, {findTrace(trace_name)}, budget);
     }
 
     if (cfg.get("csv", false)) {
@@ -162,4 +157,17 @@ main(int argc, char **argv)
         std::printf("%s", formatReport(stats).c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "hermes_sim: %s\n", e.what());
+        return 2;
+    }
 }

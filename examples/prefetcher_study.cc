@@ -11,6 +11,8 @@
 #include <cstdio>
 
 #include "common/config.hh"
+#include "prefetch/prefetcher.hh"
+#include "sim/model_registry.hh"
 #include "sim/simulator.hh"
 
 using namespace hermes;
@@ -28,7 +30,7 @@ main(int argc, char **argv)
     budget.warmupInstrs = budget.simInstrs / 2;
 
     const SystemConfig base = SystemConfig::baseline(1);
-    const RunStats r0 = simulateOne(base, trace, budget);
+    const RunStats r0 = simulate(base, {trace}, budget);
     const double base_ipc = r0.ipc(0);
     const double base_reads =
         static_cast<double>(r0.dram.totalReads());
@@ -39,22 +41,20 @@ main(int argc, char **argv)
     std::printf("%-10s %9s %9s %9s %9s %9s\n", "prefetcher", "speedup",
                 "+hermes", "reads+%", "h.reads+%", "kB");
 
-    for (auto pf : {PrefetcherKind::None, PrefetcherKind::Streamer,
-                    PrefetcherKind::Spp, PrefetcherKind::Bingo,
-                    PrefetcherKind::Mlop, PrefetcherKind::Sms,
-                    PrefetcherKind::Pythia}) {
+    for (auto pf : {"none", "streamer", "spp", "bingo", "mlop", "sms",
+                    "pythia"}) {
         SystemConfig cfg = base;
         cfg.prefetcher = pf;
-        const RunStats rp = simulateOne(cfg, trace, budget);
+        const RunStats rp = simulate(cfg, {trace}, budget);
 
         SystemConfig hcfg = cfg;
-        hcfg.predictor = PredictorKind::Popet;
+        hcfg.predictor = "popet";
         hcfg.hermesIssueEnabled = true;
-        const RunStats rh = simulateOne(hcfg, trace, budget);
+        const RunStats rh = simulate(hcfg, {trace}, budget);
 
-        const auto pref = makePrefetcher(pf);
+        const auto pref = ModelRegistry::instance().makePrefetcher(pf, {});
         std::printf("%-10s %8.1f%% %8.1f%% %8.1f%% %8.1f%% %9.1f\n",
-                    prefetcherKindName(pf),
+                    pf,
                     100.0 * (rp.ipc(0) / base_ipc - 1.0),
                     100.0 * (rh.ipc(0) / base_ipc - 1.0),
                     100.0 * (rp.dram.totalReads() / base_reads - 1.0),

@@ -31,11 +31,11 @@ main(int argc, char **argv)
 
     // The paper's baseline: Pythia prefetching at the LLC.
     SystemConfig base = SystemConfig::baseline(1);
-    base.prefetcher = PrefetcherKind::Pythia;
+    base.prefetcher = "pythia";
 
     // Same system plus Hermes-O with the POPET off-chip predictor.
     SystemConfig hermes_cfg = base;
-    hermes_cfg.predictor = PredictorKind::Popet;
+    hermes_cfg.predictor = "popet";
     hermes_cfg.hermesIssueEnabled = true;
     hermes_cfg.hermesIssueLatency = 6;
 
@@ -43,8 +43,8 @@ main(int argc, char **argv)
                 trace.category().c_str(),
                 static_cast<unsigned long long>(instrs));
 
-    const RunStats b = simulateOne(base, trace, budget);
-    const RunStats h = simulateOne(hermes_cfg, trace, budget);
+    const RunStats b = simulate(base, {trace}, budget);
+    const RunStats h = simulate(hermes_cfg, {trace}, budget);
 
     std::printf("\n%-28s %10s %10s\n", "", "baseline", "+Hermes");
     std::printf("%-28s %10.3f %10.3f\n", "IPC", b.ipc(0), h.ipc(0));

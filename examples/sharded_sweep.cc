@@ -35,7 +35,7 @@ main(int argc, char **argv)
 
     SystemConfig nopf = SystemConfig::baseline(1);
     SystemConfig pythia = nopf;
-    pythia.prefetcher = PrefetcherKind::Pythia;
+    pythia.prefetcher = "pythia";
 
     std::vector<sweep::GridPoint> grid;
     for (const TraceSpec &t : quickSuite()) {

@@ -34,9 +34,9 @@ main(int argc, char **argv)
 
     SystemConfig nopf = SystemConfig::baseline(1);
     SystemConfig pythia = nopf;
-    pythia.prefetcher = PrefetcherKind::Pythia;
+    pythia.prefetcher = "pythia";
     SystemConfig hermes_o = pythia;
-    hermes_o.predictor = PredictorKind::Popet;
+    hermes_o.predictor = "popet";
     hermes_o.hermesIssueEnabled = true;
 
     const struct

@@ -1,7 +1,6 @@
 #include "cache/replacement.hh"
 
 #include <cassert>
-#include <stdexcept>
 
 #include "sim/model_registry.hh"
 
@@ -55,8 +54,8 @@ std::unique_ptr<ReplacementPolicy>
 makeReplacement(ReplKind kind, std::uint32_t sets, std::uint32_t ways)
 {
     assert(sets > 0 && ways > 0);
-    // Thin shim over the model registry: the enum names resolve to the
-    // same registered factories the string path uses.
+    // The sealed kinds build through the same registered factories as
+    // every other policy name.
     ModelContext ctx;
     ctx.sets = sets;
     ctx.ways = ways;
@@ -64,16 +63,13 @@ makeReplacement(ReplKind kind, std::uint32_t sets, std::uint32_t ways)
                                                      std::move(ctx));
 }
 
-ReplKind
-replKindFromString(const std::string &name)
+std::optional<ReplKind>
+sealedReplKind(const std::string &name)
 {
-    if (name == "lru")
-        return ReplKind::Lru;
-    if (name == "srrip")
-        return ReplKind::Srrip;
-    if (name == "ship")
-        return ReplKind::Ship;
-    throw std::invalid_argument("unknown replacement policy: " + name);
+    for (const ReplKind k : {ReplKind::Lru, ReplKind::Srrip, ReplKind::Ship})
+        if (name == replKindName(k))
+            return k;
+    return std::nullopt;
 }
 
 const char *

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,8 +34,12 @@ enum class ReplKind : std::uint8_t
     Ship,
 };
 
-/** Parse a policy name ("lru", "srrip", "ship"); throws on unknown. */
-ReplKind replKindFromString(const std::string &name);
+/**
+ * The sealed policy named @p name ("lru", "srrip", "ship"); nullopt
+ * for any other name (registry-only policies reach the cache through
+ * CacheParams::replFactory instead).
+ */
+std::optional<ReplKind> sealedReplKind(const std::string &name);
 
 /** Printable name for a kind. */
 const char *replKindName(ReplKind kind);

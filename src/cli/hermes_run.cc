@@ -394,8 +394,8 @@ main(int argc, char **argv)
             std::printf("scenario %s: %d core(s), prefetcher=%s, "
                         "predictor=%s, hermes=%s\n",
                         opt.label.c_str(), cfg.numCores,
-                        cfg.prefetcherName().c_str(),
-                        cfg.predictorName().c_str(),
+                        cfg.prefetcher.c_str(),
+                        cfg.predictor.c_str(),
                         cfg.hermesIssueEnabled ? "on" : "off");
             std::printf("  cycles %llu  instrs %llu  ipc0 %.4f  "
                         "llc_mpki %.3f\n",

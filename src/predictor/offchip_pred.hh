@@ -13,8 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "common/types.hh"
 
@@ -107,18 +105,5 @@ class OffChipPredictor
     virtual void saveState(StateWriter &) const {}
     virtual void loadState(StateReader &) {}
 };
-
-/** Predictor kinds evaluated in the paper (§7.2). */
-enum class PredictorKind : std::uint8_t
-{
-    None,
-    Popet,
-    Hmp,
-    Ttp,
-    Ideal,
-};
-
-PredictorKind predictorKindFromString(const std::string &name);
-const char *predictorKindName(PredictorKind kind);
 
 } // namespace hermes

@@ -9,8 +9,6 @@
  */
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -94,27 +92,5 @@ class Prefetcher
   protected:
     PrefetcherStats stats_;
 };
-
-/** Known prefetcher kinds (Table 6 plus a simple streamer baseline). */
-enum class PrefetcherKind : std::uint8_t
-{
-    None,
-    Streamer,
-    Spp,
-    Bingo,
-    Mlop,
-    Sms,
-    Pythia,
-};
-
-/** Instantiate a prefetcher; returns nullptr for None. */
-std::unique_ptr<Prefetcher> makePrefetcher(PrefetcherKind kind,
-                                           std::uint64_t seed = 1);
-
-/** Parse a prefetcher name ("none", "streamer", "spp", ...). */
-PrefetcherKind prefetcherKindFromString(const std::string &name);
-
-/** Printable name for a kind. */
-const char *prefetcherKindName(PrefetcherKind kind);
 
 } // namespace hermes

@@ -11,13 +11,12 @@
  * parameter-registry keys (stored sparsely in SystemConfig::modelKnobs,
  * so configurations that never touch them render — and fingerprint —
  * exactly as before the registry existed), and the model becomes
- * selectable by string through the existing "predictor", "prefetcher"
- * and "llc.repl" parameters.
+ * selectable by name through the "predictor", "prefetcher" and
+ * "llc.repl" parameters (SystemConfig's three model-name fields).
  *
  * A new model is therefore ONE new .cc file: the class, a registrar,
- * nothing else. No enum edits, no SystemConfig fields, no System
- * wiring (the legacy PredictorKind/PrefetcherKind/ReplKind paths are
- * thin shims over this registry). See docs/extending-models.md and
+ * nothing else. No SystemConfig fields, no System wiring: the name is
+ * the only selector. See docs/extending-models.md and
  * examples/custom_predictor.cc for the worked example, and
  * `hermes_run --list-models` for the generated reference.
  */
@@ -48,7 +47,7 @@ enum class ModelKind : std::uint8_t
 };
 
 /** Printable kind name ("predictor", "prefetcher", "replacement"). */
-const char *modelKindName(ModelKind kind);
+const char *modelKindLabel(ModelKind kind);
 
 /** Knob key prefix per kind ("pred", "pref", "repl"). */
 const char *modelKnobPrefix(ModelKind kind);
@@ -89,8 +88,8 @@ struct ModelDef;
  */
 struct ModelContext
 {
-    /** Full system configuration (legacy typed param structs live here,
-     * as does the sparse modelKnobs map). */
+    /** Full system configuration: the paper models' typed param
+     * structs (popet, hmp, ttp) and the sparse modelKnobs map. */
     const SystemConfig *config = nullptr;
     /** Master seed (seeded prefetchers, e.g. Pythia). */
     std::uint64_t seed = 1;

@@ -16,20 +16,20 @@ namespace
 {
 
 /**
- * Choices for a model-selection key: the legacy enum names in their
+ * Choices for a model-selection key: the paper's models in their
  * documented order, then any further registered models sorted by name.
  * Built at ParamRegistry construction (first use, i.e. after static
  * initialization has run every ModelRegistrar); apply() additionally
  * consults the live registry.
  */
 std::vector<std::string>
-modelChoices(ModelKind kind, std::vector<std::string> legacy)
+modelChoices(ModelKind kind, std::vector<std::string> documented)
 {
     for (const std::string &name : ModelRegistry::instance().names(kind))
-        if (std::find(legacy.begin(), legacy.end(), name) ==
-            legacy.end())
-            legacy.push_back(name);
-    return legacy;
+        if (std::find(documented.begin(), documented.end(), name) ==
+            documented.end())
+            documented.push_back(name);
+    return documented;
 }
 
 /** Format a bound without a decimal point ("64", "4294967296"). */
@@ -156,19 +156,21 @@ ParamRegistry::ParamRegistry()
         add(std::move(d));
     };
 
-    // Enum fields need a from/to string pair instead of an accessor.
-    auto enumerated = [&](const char *key,
-                          std::vector<std::string> choices, auto getName,
-                          auto setFromName, const char *doc) {
+    // Model-selection keys: the value is a registered model name,
+    // stored as-is; apply() validates it against the live registry.
+    auto model = [&](const char *key, ModelKind kind,
+                     std::vector<std::string> documented, auto ref,
+                     const char *doc) {
         ParamDef d;
         d.key = key;
         d.type = ParamType::Enum;
         d.doc = doc;
-        d.choices = std::move(choices);
-        d.get = [getName](const SystemConfig &c) {
-            return std::string(getName(c));
+        d.choices = modelChoices(kind, std::move(documented));
+        d.modelKind = static_cast<int>(kind);
+        d.get = [ref](const SystemConfig &c) {
+            return ref(const_cast<SystemConfig &>(c));
         };
-        d.set = setFromName;
+        d.set = [ref](SystemConfig &c, const std::string &v) { ref(c) = v; };
         add(std::move(d));
     };
 
@@ -250,68 +252,17 @@ ParamRegistry::ParamRegistry()
     num("llc.mshrs_per_core",
         [](SystemConfig &c) -> auto & { return c.llcMshrsPerCore; }, 1,
         1024, "LLC MSHR entries per core");
-    // Model-selection keys. Legacy enum names set the enum field (so
-    // pre-registry configurations render byte-identically); any other
-    // registered model name is stored as a string and resolved through
-    // the model registry at System construction.
-    enumerated(
-        "llc.repl",
-        modelChoices(ModelKind::Replacement, {"lru", "srrip", "ship"}),
-        [](const SystemConfig &c) { return c.llcReplName(); },
-        [](SystemConfig &c, const std::string &v) {
-            for (const ReplKind k :
-                 {ReplKind::Lru, ReplKind::Srrip, ReplKind::Ship}) {
-                if (v == replKindName(k)) {
-                    c.llcRepl = k;
-                    c.llcReplModel.clear();
-                    return;
-                }
-            }
-            c.llcReplModel = v;
-        },
-        "LLC replacement policy");
-    defs_.back().modelKind = static_cast<int>(ModelKind::Replacement);
-
-    enumerated(
-        "prefetcher",
-        modelChoices(ModelKind::Prefetcher,
-                     {"none", "streamer", "spp", "bingo", "mlop", "sms",
-                      "pythia"}),
-        [](const SystemConfig &c) { return c.prefetcherName(); },
-        [](SystemConfig &c, const std::string &v) {
-            for (const char *name : {"none", "streamer", "spp", "bingo",
-                                     "mlop", "sms", "pythia"}) {
-                if (v == name) {
-                    c.prefetcher = prefetcherKindFromString(v);
-                    c.prefetcherModel.clear();
-                    return;
-                }
-            }
-            c.prefetcher = PrefetcherKind::None;
-            c.prefetcherModel = v;
-        },
-        "LLC hardware prefetcher (Table 6)");
-    defs_.back().modelKind = static_cast<int>(ModelKind::Prefetcher);
-
-    enumerated(
-        "predictor",
-        modelChoices(ModelKind::Predictor,
-                     {"none", "popet", "hmp", "ttp", "ideal"}),
-        [](const SystemConfig &c) { return c.predictorName(); },
-        [](SystemConfig &c, const std::string &v) {
-            for (const char *name :
-                 {"none", "popet", "hmp", "ttp", "ideal"}) {
-                if (v == name) {
-                    c.predictor = predictorKindFromString(v);
-                    c.predictorModel.clear();
-                    return;
-                }
-            }
-            c.predictor = PredictorKind::None;
-            c.predictorModel = v;
-        },
-        "off-chip load predictor (paper §7.2)");
-    defs_.back().modelKind = static_cast<int>(ModelKind::Predictor);
+    model("llc.repl", ModelKind::Replacement, {"lru", "srrip", "ship"},
+          [](SystemConfig &c) -> auto & { return c.llcRepl; },
+          "LLC replacement policy");
+    model("prefetcher", ModelKind::Prefetcher,
+          {"none", "streamer", "spp", "bingo", "mlop", "sms", "pythia"},
+          [](SystemConfig &c) -> auto & { return c.prefetcher; },
+          "LLC hardware prefetcher (Table 6)");
+    model("predictor", ModelKind::Predictor,
+          {"none", "popet", "hmp", "ttp", "ideal"},
+          [](SystemConfig &c) -> auto & { return c.predictor; },
+          "off-chip load predictor (paper §7.2)");
 
     boolean("hermes.enabled",
             [](SystemConfig &c) -> auto & { return c.hermesIssueEnabled; },

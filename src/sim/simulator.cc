@@ -30,7 +30,7 @@ bool
 warmupIssueActive(const SystemConfig &config)
 {
     return config.hermesIssueEnabled && config.hermesWarmupIssue &&
-           config.predictorName() != "none";
+           config.predictor != "none";
 }
 
 /** Read exactly @p size bytes or throw (short streams are defects). */
@@ -249,39 +249,9 @@ SimSession::restore(ByteSource &source)
 }
 
 RunStats
-simulateOne(const SystemConfig &config, const TraceSpec &trace,
-            const SimBudget &budget)
-{
-    if (config.numCores != 1)
-        throw std::invalid_argument("simulateOne needs a 1-core config");
-    SimSession session(config, {trace}, budget);
-    session.build();
-    session.warmup();
-    session.measure();
-    return session.collect();
-}
-
-RunStats
-simulateMix(const SystemConfig &config,
-            const std::vector<TraceSpec> &traces, const SimBudget &budget)
-{
-    if (static_cast<int>(traces.size()) != config.numCores)
-        throw std::invalid_argument("need one trace per core");
-    SimSession session(config, traces, budget);
-    session.build();
-    session.warmup();
-    session.measure();
-    return session.collect();
-}
-
-RunStats
 simulate(const SystemConfig &config, std::vector<TraceSpec> traces,
          const SimBudget &budget)
 {
-    if (traces.empty())
-        throw std::invalid_argument("simulate needs at least one trace");
-    if (config.numCores == 1 && traces.size() == 1)
-        return simulateOne(config, traces[0], budget);
     SimSession session(config, std::move(traces), budget);
     session.build();
     session.warmup();

@@ -27,26 +27,6 @@ SystemConfig::baseline(int cores)
     return cfg;
 }
 
-std::string
-SystemConfig::predictorName() const
-{
-    return predictorModel.empty() ? predictorKindName(predictor)
-                                  : predictorModel;
-}
-
-std::string
-SystemConfig::prefetcherName() const
-{
-    return prefetcherModel.empty() ? prefetcherKindName(prefetcher)
-                                   : prefetcherModel;
-}
-
-std::string
-SystemConfig::llcReplName() const
-{
-    return llcReplModel.empty() ? replKindName(llcRepl) : llcReplModel;
-}
-
 std::uint64_t
 RunStats::instrsRetired() const
 {
@@ -152,8 +132,10 @@ System::System(const SystemConfig &config,
     llc_params.mshrs = config_.llcMshrsPerCore * n;
     llc_params.rqSize = 64u * n;
     llc_params.pqSize = 48u * n;
-    llc_params.repl = config_.llcRepl;
-    if (!config_.llcReplModel.empty()) {
+    if (const auto sealed = sealedReplKind(config_.llcRepl)) {
+        // lru/srrip/ship keep the cache's devirtualized dispatch.
+        llc_params.repl = *sealed;
+    } else {
         // Registry-only policies reach the cache through a factory so
         // cache/ never depends on sim/. The configuration is captured
         // by value: the factory outlives this constructor inside
@@ -166,7 +148,7 @@ System::System(const SystemConfig &config,
             ctx.sets = sets;
             ctx.ways = ways;
             return ModelRegistry::instance().makeReplacement(
-                cfg.llcReplModel, std::move(ctx));
+                cfg.llcRepl, std::move(ctx));
         };
     }
     llc_ = std::make_unique<Cache>(llc_params);
@@ -177,7 +159,7 @@ System::System(const SystemConfig &config,
         ctx.config = &config_;
         ctx.seed = config_.seed;
         prefetcher_ = ModelRegistry::instance().makePrefetcher(
-            config_.prefetcherName(), std::move(ctx));
+            config_.prefetcher, std::move(ctx));
     }
     if (prefetcher_ != nullptr)
         llc_->setPrefetcher(prefetcher_.get());
@@ -212,8 +194,7 @@ System::System(const SystemConfig &config,
     }
 
     // Off-chip predictors + Hermes controllers (one per core), built
-    // through the model registry by resolved name (the legacy enum
-    // path funnels through the same factories).
+    // through the model registry by name.
     for (int i = 0; i < n; ++i) {
         Cache *l1 = l1_[i].get();
         Cache *l2 = l2_[i].get();
@@ -227,7 +208,7 @@ System::System(const SystemConfig &config,
                    llc->probe(line);
         };
         predictors_.push_back(ModelRegistry::instance().makePredictor(
-            config_.predictorName(), std::move(ctx)));
+            config_.predictor, std::move(ctx)));
 
         HermesParams hp;
         hp.issueEnabled = config_.hermesIssueEnabled &&

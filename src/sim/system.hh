@@ -55,11 +55,17 @@ struct SystemConfig
     std::uint32_t llcWays = 12;
     Cycle llcLatency = 40;
     std::uint32_t llcMshrsPerCore = 64;
-    ReplKind llcRepl = ReplKind::Ship;
 
-    PrefetcherKind prefetcher = PrefetcherKind::None;
+    /**
+     * Registered model names (sim/model_registry.hh) for the three
+     * pluggable slots: the "llc.repl", "prefetcher" and "predictor"
+     * parameters. An unknown name makes System construction throw
+     * std::invalid_argument with a nearest-name suggestion.
+     */
+    std::string llcRepl = "ship";
+    std::string prefetcher = "none";
+    std::string predictor = "none";
 
-    PredictorKind predictor = PredictorKind::None;
     /** Issue Hermes requests (false = predictor-only measurement). */
     bool hermesIssueEnabled = false;
     /** Hermes-O: 6 cycles; Hermes-P: 18 cycles (Fig. 17c sweeps). */
@@ -81,16 +87,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
 
     /**
-     * Registry-selected model names (sim/model_registry.hh). Empty
-     * means "use the enum field" — the "predictor", "prefetcher" and
-     * "llc.repl" parameters set these only for names outside the
-     * legacy enum sets, so pre-registry configurations render (and
-     * fingerprint) exactly as before.
-     */
-    std::string predictorModel;
-    std::string prefetcherModel;
-    std::string llcReplModel;
-    /**
      * Sparse registered-knob overrides ("pred.<model>.<knob>" ->
      * validated value string). Only explicitly-set knobs appear here;
      * unset knobs fall back to their declared defaults at model
@@ -105,12 +101,6 @@ struct SystemConfig
      * pre-existing configurations render (and fingerprint) unchanged.
      */
     std::map<std::string, std::string> corpusKnobs;
-
-    /** Resolved model names: the registry string when set, else the
-     * legacy enum's name. This is what System actually instantiates. */
-    std::string predictorName() const;
-    std::string prefetcherName() const;
-    std::string llcReplName() const;
 
     /** Baseline single/multi-core configuration per Table 4. */
     static SystemConfig baseline(int cores);

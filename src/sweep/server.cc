@@ -787,13 +787,7 @@ struct SweepServer::Impl
             std::string error;
             const auto t0 = std::chrono::steady_clock::now();
             try {
-                r.stats = point.traces.size() == 1 &&
-                                  point.config.numCores == 1
-                              ? simulateOne(point.config,
-                                            point.traces[0],
-                                            point.budget)
-                              : simulateMix(point.config, point.traces,
-                                            point.budget);
+                r.stats = simulatePoint(point);
             } catch (const std::exception &e) {
                 error = e.what();
             }

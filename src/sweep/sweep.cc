@@ -63,28 +63,24 @@ class StealQueue
     std::deque<std::size_t> q_;
 };
 
+} // namespace
+
 RunStats
-simulatePoint(const GridPoint &point, std::uint64_t seed,
-              SeedPolicy policy, WarmupCache *warmup_cache)
+simulatePoint(GridPoint point, WarmupCache *warmup_cache)
 {
-    GridPoint p = point;
-    if (policy == SeedPolicy::PerPoint)
-        p.config.seed = seed;
-    // Grid builders emit fully-specified trace lists, so unlike the
-    // simulate() shim (which replicates a lone trace across cores) a
-    // count mismatch here is a caller bug and must propagate.
-    if (p.traces.size() != static_cast<std::size_t>(p.config.numCores) &&
-        !(p.traces.size() == 1 && p.config.numCores == 1))
+    // Grid builders emit fully-specified trace lists, so unlike
+    // simulate() (which replicates a lone trace across cores) a count
+    // mismatch here is a caller bug and must propagate.
+    if (point.traces.size() !=
+        static_cast<std::size_t>(point.config.numCores))
         throw std::invalid_argument("need one trace per core");
-    // The session path is stats-identical to the legacy
-    // simulateOne/simulateMix shims; the cache only short-circuits the
-    // warmup window (fingerprint-keyed, so a PerPoint seed policy
-    // yields per-point identities and simply never shares).
-    SimSession session(p.config, p.traces, p.budget);
+    // The cache only short-circuits the warmup window
+    // (fingerprint-keyed, so a PerPoint seed policy yields per-point
+    // identities and simply never shares).
+    SimSession session(std::move(point.config), std::move(point.traces),
+                       point.budget);
     return runSession(session, warmup_cache);
 }
-
-} // namespace
 
 ShardSpec
 parseShardSpec(const std::string &spec)
@@ -211,9 +207,10 @@ SweepEngine::run(const std::vector<GridPoint> &grid,
         r.index = i;
         r.label = grid[i].label;
         try {
-            r.stats = simulatePoint(grid[i],
-                                    pointSeed(opts_.seedBase, i),
-                                    opts_.seedPolicy, opts_.warmupCache);
+            GridPoint p = grid[i];
+            if (opts_.seedPolicy == SeedPolicy::PerPoint)
+                p.config.seed = pointSeed(opts_.seedBase, i);
+            r.stats = simulatePoint(std::move(p), opts_.warmupCache);
         } catch (...) {
             r.ok = false;
             record_error();

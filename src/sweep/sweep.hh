@@ -35,13 +35,19 @@ struct GridPoint
 {
     std::string label;
     SystemConfig config;
-    /**
-     * One trace per core (a single entry runs simulateOne; N entries
-     * run simulateMix on an N-core config).
-     */
+    /** Exactly one trace per core (simulatePoint never replicates). */
     std::vector<TraceSpec> traces;
     SimBudget budget;
 };
+
+/**
+ * Simulate one grid point: the single run path of SweepEngine and the
+ * --serve workers. Unlike simulate(), a lone trace is not replicated:
+ * a trace count other than config.numCores throws
+ * std::invalid_argument. Points whose warmup identity is in
+ * @p warmup_cache (may be nullptr) restore instead of warming.
+ */
+RunStats simulatePoint(GridPoint point, WarmupCache *warmup_cache = nullptr);
 
 /** Result of one grid point, tagged with its grid index. */
 struct PointResult

@@ -53,15 +53,15 @@ goldenCases()
     SystemConfig base = SystemConfig::baseline(1);
 
     SystemConfig pythia = base;
-    pythia.prefetcher = PrefetcherKind::Pythia;
+    pythia.prefetcher = "pythia";
 
     SystemConfig hermes_cfg = pythia;
-    hermes_cfg.predictor = PredictorKind::Popet;
+    hermes_cfg.predictor = "popet";
     hermes_cfg.hermesIssueEnabled = true;
 
     SystemConfig mix_cfg = SystemConfig::baseline(2);
-    mix_cfg.prefetcher = PrefetcherKind::Pythia;
-    mix_cfg.predictor = PredictorKind::Popet;
+    mix_cfg.prefetcher = "pythia";
+    mix_cfg.predictor = "popet";
     mix_cfg.hermesIssueEnabled = true;
 
     return {
@@ -75,10 +75,7 @@ goldenCases()
 RunStats
 runCase(const GoldenCase &c)
 {
-    if (c.point.traces.size() == 1 && c.point.config.numCores == 1)
-        return simulateOne(c.point.config, c.point.traces[0],
-                           c.point.budget);
-    return simulateMix(c.point.config, c.point.traces, c.point.budget);
+    return simulate(c.point.config, c.point.traces, c.point.budget);
 }
 
 TEST(Determinism, RepeatedRunsProduceIdenticalStats)

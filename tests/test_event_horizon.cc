@@ -50,21 +50,21 @@ horizonCases()
     const TraceSpec stream = findTrace("parsec.streamcluster_like.0");
 
     SystemConfig popet_pythia = SystemConfig::baseline(1);
-    popet_pythia.prefetcher = PrefetcherKind::Pythia;
-    popet_pythia.predictor = PredictorKind::Popet;
+    popet_pythia.prefetcher = "pythia";
+    popet_pythia.predictor = "popet";
     popet_pythia.hermesIssueEnabled = true;
 
     SystemConfig popet_streamer = popet_pythia;
-    popet_streamer.prefetcher = PrefetcherKind::Streamer;
+    popet_streamer.prefetcher = "streamer";
 
     SystemConfig hmp_spp = SystemConfig::baseline(1);
-    hmp_spp.prefetcher = PrefetcherKind::Spp;
-    hmp_spp.predictor = PredictorKind::Hmp;
+    hmp_spp.prefetcher = "spp";
+    hmp_spp.predictor = "hmp";
     hmp_spp.hermesIssueEnabled = true;
 
     SystemConfig mix_cfg = SystemConfig::baseline(2);
-    mix_cfg.prefetcher = PrefetcherKind::Pythia;
-    mix_cfg.predictor = PredictorKind::Popet;
+    mix_cfg.prefetcher = "pythia";
+    mix_cfg.predictor = "popet";
     mix_cfg.hermesIssueEnabled = true;
 
     return {

@@ -3,9 +3,9 @@
 // ill-formed names, factory/kind mismatches), nearest-name suggestions
 // for unknown models and knob keys, knob validation and
 // fromConfig/toConfig round trips, runtime registration visibility
-// through the selection parameters, and the golden guarantee that
-// selecting a legacy model through the registry string path produces
-// byte-identical RunStats fingerprints to the enum path.
+// through the selection parameters, struct-API model-name typos
+// rejected at SimSession::build(), and deterministic runs of the
+// registry-only contenders.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +14,9 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/config.hh"
-#include "golden_util.hh"
 #include "predictor/offchip_pred.hh"
 #include "sim/model_registry.hh"
 #include "sim/param_registry.hh"
@@ -29,9 +29,6 @@ namespace hermes
 {
 namespace
 {
-
-using golden::goldenBudget;
-using golden::loadGoldens;
 
 ModelDef
 minimalPredictorDef(const std::string &name)
@@ -119,6 +116,52 @@ TEST(ModelRegistry, UnknownModelGetsNearestSuggestion)
                   std::string::npos)
             << e.what();
     }
+    // Matching is exact: no case folding, no empty name, no aliases.
+    const std::pair<const char *, const char *> rejected[] = {
+        {"predictor", "magic"},   {"predictor", "perceptron"},
+        {"predictor", ""},        {"predictor", "Popet"},
+        {"prefetcher", "oracle"}, {"prefetcher", "stride"},
+        {"prefetcher", ""},       {"prefetcher", "Pythia"},
+        {"llc.repl", "plru"},     {"llc.repl", ""},
+        {"llc.repl", "SHIP"},
+    };
+    for (const auto &[key, value] : rejected) {
+        SystemConfig cfg = SystemConfig::baseline(1);
+        EXPECT_THROW(ParamRegistry::instance().apply(cfg, key, value),
+                     std::invalid_argument)
+            << key << "=" << value;
+    }
+}
+
+TEST(ModelRegistry, StructApiTypoRejectedAtBuild)
+{
+    // With plain-string fields a typo compiles; SimSession::build()
+    // (System construction) must reject it, naming the nearest model.
+    const struct
+    {
+        std::string SystemConfig::*field;
+        const char *typo;
+        const char *nearest;
+    } cases[] = {
+        {&SystemConfig::predictor, "popett", "popet"},
+        {&SystemConfig::prefetcher, "pythai", "pythia"},
+        {&SystemConfig::llcRepl, "shipp", "ship"},
+    };
+    for (const auto &c : cases) {
+        SystemConfig cfg = SystemConfig::baseline(1);
+        cfg.*c.field = c.typo;
+        SimSession session(cfg, {findTrace("spec06.mcf_like.0")},
+                           SimBudget{1'000, 1'000});
+        try {
+            session.build();
+            FAIL() << c.typo << " did not throw";
+        } catch (const std::invalid_argument &e) {
+            const std::string want =
+                std::string("did you mean '") + c.nearest + "'";
+            EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ModelRegistry, UnknownKnobKeyGetsNearestSuggestion)
@@ -158,7 +201,7 @@ TEST(ModelRegistry, KnobsRoundTripThroughConfig)
     EXPECT_EQ(out.get("pred.hashperc.table_bits", std::string()), "12");
     // And back: a config rebuilt from the rendering is identical.
     const SystemConfig again = SystemConfig::fromConfig(out);
-    EXPECT_EQ(again.predictorName(), "hashperc");
+    EXPECT_EQ(again.predictor, "hashperc");
     EXPECT_EQ(again.modelKnobs, cfg.modelKnobs);
 
     // Untouched knobs never render: pre-registry configurations keep
@@ -189,7 +232,7 @@ TEST(ModelRegistry, RuntimeRegistrationIsSelectable)
     if (!ModelRegistry::instance().find(ModelKind::Predictor, name))
         ModelRegistry::instance().add(minimalPredictorDef(name));
     const SystemConfig cfg = configWith({"predictor=runtime_test_pred"});
-    EXPECT_EQ(cfg.predictorName(), name);
+    EXPECT_EQ(cfg.predictor, name);
     EXPECT_EQ(cfg.toConfig().get("predictor", std::string()), name);
 }
 
@@ -208,27 +251,6 @@ TEST(ModelRegistry, ListsContainTheNewContenders)
     EXPECT_NE(ref.find("pref.ipcp.degree"), std::string::npos);
 }
 
-TEST(ModelRegistryGolden, RegistryStringPathMatchesEnumPath)
-{
-    // The golden "one.hermes.mcf" scenario (enum-selected Pythia +
-    // POPET + Hermes), forced through the registry string path: the
-    // enums stay None and the model names drive construction. The
-    // RunStats fingerprint must be byte-identical to the pinned
-    // golden, proving the registry shims change nothing.
-    const auto golden = loadGoldens();
-    ASSERT_TRUE(golden.count("one.hermes.mcf"));
-    SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = PrefetcherKind::None;
-    cfg.prefetcherModel = "pythia";
-    cfg.predictor = PredictorKind::None;
-    cfg.predictorModel = "popet";
-    cfg.hermesIssueEnabled = true;
-    const RunStats stats = simulateOne(
-        cfg, findTrace("spec06.mcf_like.0"), goldenBudget());
-    EXPECT_EQ(statsFingerprint(stats), golden.at("one.hermes.mcf"))
-        << "registry-constructed POPET diverged from the enum path";
-}
-
 TEST(ModelRegistryGolden, NewContendersRunDeterministically)
 {
     SimBudget b;
@@ -238,8 +260,8 @@ TEST(ModelRegistryGolden, NewContendersRunDeterministically)
 
     const SystemConfig pred_cfg = configWith(
         {"predictor=hashperc", "hermes.enabled=true"});
-    const RunStats p1 = simulateOne(pred_cfg, trace, b);
-    const RunStats p2 = simulateOne(pred_cfg, trace, b);
+    const RunStats p1 = simulate(pred_cfg, {trace}, b);
+    const RunStats p2 = simulate(pred_cfg, {trace}, b);
     EXPECT_EQ(statsFingerprint(p1), statsFingerprint(p2));
     EXPECT_GT(p1.predTotal().total(), 0u);
     EXPECT_GT(p1.hermesRequestsScheduled, 0u);
@@ -247,8 +269,8 @@ TEST(ModelRegistryGolden, NewContendersRunDeterministically)
     // A streaming trace: ipcp needs stable per-PC strides to trigger.
     const TraceSpec stream = findTrace("parsec.streamcluster_like.0");
     const SystemConfig pf_cfg = configWith({"prefetcher=ipcp"});
-    const RunStats f1 = simulateOne(pf_cfg, stream, b);
-    const RunStats f2 = simulateOne(pf_cfg, stream, b);
+    const RunStats f1 = simulate(pf_cfg, {stream}, b);
+    const RunStats f2 = simulate(pf_cfg, {stream}, b);
     EXPECT_EQ(statsFingerprint(f1), statsFingerprint(f2));
     EXPECT_GT(f1.llc.prefetchIssued, 0u);
 }

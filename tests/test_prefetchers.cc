@@ -1,10 +1,14 @@
-// Tests for the five hardware prefetchers: pattern learning,
-// address-range discipline, feedback handling and storage budgets.
+// Tests for the hardware prefetchers: pattern learning, address-range
+// discipline, feedback handling, storage budgets, and a bounded-
+// candidates property over every registered prefetcher.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hh"
 #include "prefetch/bingo.hh"
@@ -14,6 +18,8 @@
 #include "prefetch/sms.hh"
 #include "prefetch/spp.hh"
 #include "prefetch/streamer.hh"
+#include "sim/model_registry.hh"
+#include "sim/system.hh"
 
 namespace hermes
 {
@@ -273,42 +279,58 @@ TEST(Pythia, PrefetchesStayInPage)
     }
 }
 
+/** A prefetcher built by the registry, as System builds it. */
+std::unique_ptr<Prefetcher>
+makeNamed(const std::string &name)
+{
+    static const SystemConfig cfg = SystemConfig::baseline(1);
+    ModelContext ctx;
+    ctx.config = &cfg;
+    return ModelRegistry::instance().makePrefetcher(name, std::move(ctx));
+}
+
+/** Every registered prefetcher except the "none" baseline. */
+std::vector<std::string>
+registeredPrefetchers()
+{
+    std::vector<std::string> names =
+        ModelRegistry::instance().names(ModelKind::Prefetcher);
+    names.erase(std::find(names.begin(), names.end(), "none"));
+    return names;
+}
+
 TEST(Registry, FactoryAndNames)
 {
-    EXPECT_EQ(makePrefetcher(PrefetcherKind::None), nullptr);
-    for (auto kind : {PrefetcherKind::Streamer, PrefetcherKind::Spp,
-                      PrefetcherKind::Bingo, PrefetcherKind::Mlop,
-                      PrefetcherKind::Sms, PrefetcherKind::Pythia}) {
-        auto pf = makePrefetcher(kind);
-        ASSERT_NE(pf, nullptr);
-        EXPECT_EQ(prefetcherKindFromString(pf->name()), kind);
-        EXPECT_GT(pf->storageBits(), 0u);
+    EXPECT_EQ(makeNamed("none"), nullptr);
+    for (const std::string &name : registeredPrefetchers()) {
+        auto pf = makeNamed(name);
+        ASSERT_NE(pf, nullptr) << name;
+        EXPECT_EQ(pf->name(), name);
+        EXPECT_GT(pf->storageBits(), 0u) << name;
     }
-    EXPECT_THROW(prefetcherKindFromString("oracle"),
-                 std::invalid_argument);
+    EXPECT_THROW(makeNamed("oracle"), std::invalid_argument);
 }
 
 TEST(Storage, RelativeBudgetsMatchTable6Order)
 {
     // Paper Table 6 ordering: MLOP < SMS < Pythia < SPP < Bingo.
-    const auto bits = [](PrefetcherKind k) {
-        return makePrefetcher(k)->storageBits();
+    const auto bits = [](const char *name) {
+        return makeNamed(name)->storageBits();
     };
-    EXPECT_LT(bits(PrefetcherKind::Mlop), bits(PrefetcherKind::Sms));
-    EXPECT_LT(bits(PrefetcherKind::Sms), bits(PrefetcherKind::Pythia));
-    EXPECT_LT(bits(PrefetcherKind::Pythia), bits(PrefetcherKind::Spp));
-    EXPECT_LT(bits(PrefetcherKind::Spp), bits(PrefetcherKind::Bingo));
+    EXPECT_LT(bits("mlop"), bits("sms"));
+    EXPECT_LT(bits("sms"), bits("pythia"));
+    EXPECT_LT(bits("pythia"), bits("spp"));
+    EXPECT_LT(bits("spp"), bits("bingo"));
 }
 
 /** Property: every prefetcher returns bounded, sane candidates. */
-class PrefetcherFuzzTest
-    : public ::testing::TestWithParam<PrefetcherKind>
+class PrefetcherFuzzTest : public ::testing::TestWithParam<std::string>
 {
 };
 
 TEST_P(PrefetcherFuzzTest, CandidatesBoundedUnderRandomTraffic)
 {
-    auto pf = makePrefetcher(GetParam());
+    auto pf = makeNamed(GetParam());
     ASSERT_NE(pf, nullptr);
     Rng rng(42);
     for (int i = 0; i < 20000; ++i) {
@@ -330,36 +352,9 @@ TEST_P(PrefetcherFuzzTest, CandidatesBoundedUnderRandomTraffic)
     SUCCEED();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    All, PrefetcherFuzzTest,
-    ::testing::Values(PrefetcherKind::Streamer, PrefetcherKind::Spp,
-                      PrefetcherKind::Bingo, PrefetcherKind::Mlop,
-                      PrefetcherKind::Sms, PrefetcherKind::Pythia),
-    [](const auto &info) {
-        return std::string(prefetcherKindName(info.param));
-    });
-
-TEST(PrefetcherKindStrings, RoundTripsEveryKind)
-{
-    for (const PrefetcherKind kind :
-         {PrefetcherKind::None, PrefetcherKind::Streamer,
-          PrefetcherKind::Spp, PrefetcherKind::Bingo,
-          PrefetcherKind::Mlop, PrefetcherKind::Sms,
-          PrefetcherKind::Pythia}) {
-        const char *name = prefetcherKindName(kind);
-        EXPECT_STRNE(name, "?");
-        EXPECT_EQ(prefetcherKindFromString(name), kind) << name;
-    }
-}
-
-TEST(PrefetcherKindStrings, UnknownNameThrows)
-{
-    EXPECT_THROW(prefetcherKindFromString("stride"),
-                 std::invalid_argument);
-    EXPECT_THROW(prefetcherKindFromString(""), std::invalid_argument);
-    EXPECT_THROW(prefetcherKindFromString("Pythia"),
-                 std::invalid_argument);
-}
+INSTANTIATE_TEST_SUITE_P(All, PrefetcherFuzzTest,
+                         ::testing::ValuesIn(registeredPrefetchers()),
+                         [](const auto &info) { return info.param; });
 
 } // namespace
 } // namespace hermes

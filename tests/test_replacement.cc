@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <optional>
 
 #include "cache/replacement.hh"
 
@@ -100,10 +100,10 @@ TEST(Replacement, FactoryAndNames)
     EXPECT_STREQ(makeReplacement(ReplKind::Lru, 2, 2)->name(), "lru");
     EXPECT_STREQ(makeReplacement(ReplKind::Srrip, 2, 2)->name(), "srrip");
     EXPECT_STREQ(makeReplacement(ReplKind::Ship, 2, 2)->name(), "ship");
-    EXPECT_EQ(replKindFromString("lru"), ReplKind::Lru);
-    EXPECT_EQ(replKindFromString("srrip"), ReplKind::Srrip);
-    EXPECT_EQ(replKindFromString("ship"), ReplKind::Ship);
-    EXPECT_THROW(replKindFromString("plru"), std::invalid_argument);
+    EXPECT_EQ(sealedReplKind("lru"), ReplKind::Lru);
+    EXPECT_EQ(sealedReplKind("srrip"), ReplKind::Srrip);
+    EXPECT_EQ(sealedReplKind("ship"), ReplKind::Ship);
+    EXPECT_EQ(sealedReplKind("plru"), std::nullopt);
 }
 
 TEST(Replacement, StorageBitsPositive)
@@ -150,14 +150,16 @@ TEST(ReplKindStrings, RoundTripsEveryKind)
          {ReplKind::Lru, ReplKind::Srrip, ReplKind::Ship}) {
         const char *name = replKindName(kind);
         EXPECT_STRNE(name, "?");
-        EXPECT_EQ(replKindFromString(name), kind) << name;
+        EXPECT_EQ(sealedReplKind(name), kind) << name;
     }
 }
 
-TEST(ReplKindStrings, UnknownNameThrows)
+TEST(ReplKindStrings, UnknownNameIsNotSealed)
 {
-    EXPECT_THROW(replKindFromString("fifo"), std::invalid_argument);
-    EXPECT_THROW(replKindFromString(""), std::invalid_argument);
+    // Anything else is left to the model registry (replFactory).
+    EXPECT_EQ(sealedReplKind("fifo"), std::nullopt);
+    EXPECT_EQ(sealedReplKind(""), std::nullopt);
+    EXPECT_EQ(sealedReplKind("Ship"), std::nullopt);
 }
 
 } // namespace

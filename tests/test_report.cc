@@ -17,13 +17,13 @@ RunStats
 sampleRun()
 {
     SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = PrefetcherKind::Pythia;
-    cfg.predictor = PredictorKind::Popet;
+    cfg.prefetcher = "pythia";
+    cfg.predictor = "popet";
     cfg.hermesIssueEnabled = true;
     SimBudget b;
     b.warmupInstrs = 10'000;
     b.simInstrs = 30'000;
-    return simulateOne(cfg, findTrace("spec06.mcf_like.0"), b);
+    return simulate(cfg, {findTrace("spec06.mcf_like.0")}, b);
 }
 
 TEST(Report, ContainsAllSections)

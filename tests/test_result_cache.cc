@@ -41,7 +41,7 @@ smallGrid()
     const SimBudget b = tinyBudget();
     SystemConfig nopf = SystemConfig::baseline(1);
     SystemConfig pythia = nopf;
-    pythia.prefetcher = PrefetcherKind::Pythia;
+    pythia.prefetcher = "pythia";
 
     const auto traces = quickSuite();
     std::vector<sweep::GridPoint> grid;

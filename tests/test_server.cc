@@ -168,7 +168,7 @@ TEST(Server, SubmitWaitResultMatchesDirectSimulation)
     EXPECT_EQ(rec.result.label, p.label);
 
     const RunStats direct =
-        simulateOne(p.config, p.traces[0], p.budget);
+        simulate(p.config, {p.traces[0]}, p.budget);
     EXPECT_EQ(statsFingerprint(rec.result.stats),
               statsFingerprint(direct));
 
@@ -199,7 +199,7 @@ TEST(Server, CacheBackedSubmitNeedsNoWorkers)
     sweep::PointResult r;
     r.index = 0;
     r.label = p.label;
-    r.stats = simulateOne(p.config, p.traces[0], p.budget);
+    r.stats = simulate(p.config, {p.traces[0]}, p.budget);
     cache.store(p, r);
 
     sweep::ServeOptions opts;
@@ -263,7 +263,7 @@ TEST(Server, RestartResumesAcknowledgedSubmissions)
         EXPECT_EQ(sweep::serverRequest(opts.socketPath, "wait " + fp2),
                   "ok " + fp2 + " done");
         const RunStats direct =
-            simulateOne(p1.config, p1.traces[0], p1.budget);
+            simulate(p1.config, {p1.traces[0]}, p1.budget);
         const std::string res = sweep::serverRequest(
             opts.socketPath, "result " + fp1);
         ASSERT_EQ(res.compare(0, 3, "ok "), 0) << res;

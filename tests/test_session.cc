@@ -108,21 +108,21 @@ sessionCases()
     const TraceSpec stream = findTrace("parsec.streamcluster_like.0");
 
     SystemConfig popet_pythia = SystemConfig::baseline(1);
-    popet_pythia.prefetcher = PrefetcherKind::Pythia;
-    popet_pythia.predictor = PredictorKind::Popet;
+    popet_pythia.prefetcher = "pythia";
+    popet_pythia.predictor = "popet";
     popet_pythia.hermesIssueEnabled = true;
 
     SystemConfig popet_streamer = popet_pythia;
-    popet_streamer.prefetcher = PrefetcherKind::Streamer;
+    popet_streamer.prefetcher = "streamer";
 
     SystemConfig hmp_spp = SystemConfig::baseline(1);
-    hmp_spp.prefetcher = PrefetcherKind::Spp;
-    hmp_spp.predictor = PredictorKind::Hmp;
+    hmp_spp.prefetcher = "spp";
+    hmp_spp.predictor = "hmp";
     hmp_spp.hermesIssueEnabled = true;
 
     SystemConfig mix_cfg = SystemConfig::baseline(2);
-    mix_cfg.prefetcher = PrefetcherKind::Pythia;
-    mix_cfg.predictor = PredictorKind::Popet;
+    mix_cfg.prefetcher = "pythia";
+    mix_cfg.predictor = "popet";
     mix_cfg.hermesIssueEnabled = true;
 
     return {
@@ -176,11 +176,11 @@ TEST(Session, SnapshotRestoreMeasureMatchesStraightRun)
     }
 }
 
-TEST(Session, ShimsAndSessionAgreeWithGoldenFile)
+TEST(Session, SimulateAndSessionAgreeWithGoldenFile)
 {
-    // The legacy helpers are shims over SimSession; both paths (and a
-    // restored session) must reproduce the pinned golden fingerprint
-    // for the case test_determinism.cc also runs.
+    // simulate(), a hand-driven SimSession and a restored session must
+    // all reproduce the pinned golden fingerprint for the case
+    // test_determinism.cc also runs.
     const auto golden = loadGoldens();
     ASSERT_FALSE(golden.empty());
     const auto it = golden.find("one.hermes.mcf");
@@ -191,7 +191,7 @@ TEST(Session, ShimsAndSessionAgreeWithGoldenFile)
 
     EXPECT_EQ(straightRunFingerprint(c), it->second);
     EXPECT_EQ(statsFingerprint(
-                  simulateOne(c.config, c.traces[0], goldenBudget())),
+                  simulate(c.config, c.traces, goldenBudget())),
               it->second);
 
     SimSession restored(c.config, c.traces, goldenBudget());
@@ -316,11 +316,11 @@ TEST(Session, WarmupFingerprintTracksWarmupAffectingStateOnly)
 
     // Warmup-affecting knobs: distinct identities.
     SystemConfig other_pred = base.config;
-    other_pred.predictor = PredictorKind::Hmp;
+    other_pred.predictor = "hmp";
     EXPECT_NE(fp(other_pred, goldenBudget()), ref);
 
     SystemConfig other_pf = base.config;
-    other_pf.prefetcher = PrefetcherKind::Streamer;
+    other_pf.prefetcher = "streamer";
     EXPECT_NE(fp(other_pf, goldenBudget()), ref);
 
     SimBudget longer_warmup = goldenBudget();

@@ -214,17 +214,17 @@ TEST(StatRegistry, EnumeratesTheWholeSchema)
 TEST(StatRegistry, FingerprintMatchesLegacyOnSimulatedRuns)
 {
     SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = PrefetcherKind::Pythia;
-    cfg.predictor = PredictorKind::Popet;
+    cfg.prefetcher = "pythia";
+    cfg.predictor = "popet";
     cfg.hermesIssueEnabled = true;
     const RunStats one =
-        simulateOne(cfg, findTrace("spec06.mcf_like.0"), tinyBudget());
+        simulate(cfg, {findTrace("spec06.mcf_like.0")}, tinyBudget());
     EXPECT_EQ(statsFingerprint(one), legacyFingerprint(one));
 
     SystemConfig multi = SystemConfig::baseline(2);
-    multi.predictor = PredictorKind::Popet;
+    multi.predictor = "popet";
     multi.hermesIssueEnabled = true;
-    const RunStats mix = simulateMix(
+    const RunStats mix = simulate(
         multi,
         {findTrace("spec06.mcf_like.0"), findTrace("ligra.bfs_like.0")},
         tinyBudget());
@@ -255,11 +255,11 @@ TEST(StatRegistry, FingerprintIgnoresHostPerfAndConfigEchoes)
 TEST(StatRegistry, CsvAndJsonRowsMatchLegacyAcrossQuickSuite)
 {
     SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = PrefetcherKind::Pythia;
-    cfg.predictor = PredictorKind::Popet;
+    cfg.prefetcher = "pythia";
+    cfg.predictor = "popet";
     cfg.hermesIssueEnabled = true;
     for (const TraceSpec &t : quickSuite()) {
-        const RunStats s = simulateOne(cfg, t, tinyBudget());
+        const RunStats s = simulate(cfg, {t}, tinyBudget());
         EXPECT_EQ(formatCsvRow(t.name(), s),
                   legacyCsvRow(t.name(), s))
             << t.name();
@@ -413,9 +413,9 @@ TEST(StatRegistry, HostPerfColumnsAppendWithoutDuplicating)
 TEST(StatRegistry, SelectedColumnsRenderTheSameValuesAsDefaults)
 {
     SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = PrefetcherKind::Pythia;
+    cfg.prefetcher = "pythia";
     const RunStats s =
-        simulateOne(cfg, findTrace("ligra.bfs_like.0"), tinyBudget());
+        simulate(cfg, {findTrace("ligra.bfs_like.0")}, tinyBudget());
     // A selection naming the default columns' keys produces the same
     // values (only the header names differ: keys vs legacy aliases).
     const auto sel = selectStatColumns("cycles,core.instrs,core.ipc");

@@ -30,7 +30,7 @@ smallGrid()
     const SimBudget b = tinyBudget();
     SystemConfig nopf = SystemConfig::baseline(1);
     SystemConfig pythia = nopf;
-    pythia.prefetcher = PrefetcherKind::Pythia;
+    pythia.prefetcher = "pythia";
 
     const auto traces = quickSuite();
     std::vector<sweep::GridPoint> grid;
@@ -220,7 +220,7 @@ TEST(Sweep, MultiCoreMixPointRuns)
 
 TEST(Sweep, PointExceptionPropagatesToCaller)
 {
-    // 2-core config with a single trace: simulateMix rejects it.
+    // 2-core config with a single trace: simulatePoint rejects it.
     SystemConfig cfg = SystemConfig::baseline(2);
     sweep::GridPoint bad{"bad", cfg, {quickSuite()[0]}, tinyBudget()};
     sweep::SweepOptions opts;
