@@ -4,10 +4,22 @@
  * POPET predict/train, cache lookups, DRAM scheduling and synthetic
  * trace generation. These guard against performance regressions in the
  * structures every experiment exercises millions of times.
+ *
+ * The checkpoint kernels (BM_CheckpointSnapshot, BM_CheckpointRestore,
+ * BM_SessionWarmup) price a warmup-store hit against the warmup it
+ * replaces, on one single-core POPET+Pythia session, in memory:
+ *
+ *   micro_ops --benchmark_filter='Checkpoint|SessionWarmup'
  */
 // figmap: (perf) | google-benchmark microbenchmarks of hot simulator ops
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "common/addr_index.hh"
@@ -17,7 +29,9 @@
 #include "predictor/hmp.hh"
 #include "predictor/popet.hh"
 #include "predictor/ttp.hh"
+#include "sim/simulator.hh"
 #include "trace/suite.hh"
+#include "trace/trace_io.hh"
 
 using namespace hermes;
 
@@ -163,6 +177,126 @@ BM_RingQueue(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RingQueue);
+
+/** In-memory checkpoint sink; clear() keeps the capacity. */
+class MemorySink : public ByteSink
+{
+  public:
+    void
+    write(const void *data, std::size_t size) override
+    {
+        const auto *p = static_cast<const char *>(data);
+        bytes.insert(bytes.end(), p, p + size);
+    }
+    void finish() override {}
+    const std::string &path() const override { return path_; }
+
+    std::vector<char> bytes;
+
+  private:
+    std::string path_ = "<memory>";
+};
+
+class MemorySource : public ByteSource
+{
+  public:
+    explicit MemorySource(const std::vector<char> &bytes) : bytes_(bytes)
+    {
+    }
+
+    std::size_t
+    read(void *data, std::size_t size) override
+    {
+        const std::size_t n = std::min(size, bytes_.size() - pos_);
+        std::memcpy(data, bytes_.data() + pos_, n);
+        pos_ += n;
+        return n;
+    }
+    void rewind() override { pos_ = 0; }
+    const std::string &path() const override { return path_; }
+    Compression compression() const override { return Compression::None; }
+    std::int64_t
+    sizeHint() const override
+    {
+        return static_cast<std::int64_t>(bytes_.size());
+    }
+
+  private:
+    const std::vector<char> &bytes_;
+    std::size_t pos_ = 0;
+    std::string path_ = "<memory>";
+};
+
+/**
+ * (Re)build the session every checkpoint kernel runs: popet+pythia,
+ * 60k warmup instructions. Emplacing into an optional keeps the old
+ * session's teardown out of a timed region.
+ */
+void
+buildCheckpointSession(std::optional<SimSession> &s)
+{
+    SystemConfig cfg = SystemConfig::baseline(1);
+    cfg.prefetcher = "pythia";
+    cfg.predictor = "popet";
+    cfg.hermesIssueEnabled = true;
+    SimBudget budget;
+    budget.warmupInstrs = 60'000;
+    budget.simInstrs = 0;
+    s.reset();
+    s.emplace(cfg, std::vector<TraceSpec>{findTrace("spec06.mcf_like.0")},
+              budget);
+    s->build();
+}
+
+void
+BM_CheckpointSnapshot(benchmark::State &state)
+{
+    std::optional<SimSession> s;
+    buildCheckpointSession(s);
+    s->warmup();
+    MemorySink sink;
+    for (auto _ : state) {
+        sink.bytes.clear();
+        s->snapshot(sink);
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * sink.bytes.size()));
+}
+BENCHMARK(BM_CheckpointSnapshot)->Unit(benchmark::kMillisecond);
+
+void
+BM_CheckpointRestore(benchmark::State &state)
+{
+    std::optional<SimSession> s;
+    buildCheckpointSession(s);
+    s->warmup();
+    MemorySink sink;
+    s->snapshot(sink);
+    for (auto _ : state) {
+        state.PauseTiming();
+        buildCheckpointSession(s);
+        MemorySource src(sink.bytes);
+        state.ResumeTiming();
+        if (!s->restore(src))
+            state.SkipWithError("restore rejected its own snapshot");
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * sink.bytes.size()));
+}
+BENCHMARK(BM_CheckpointRestore)->Unit(benchmark::kMillisecond);
+
+void
+BM_SessionWarmup(benchmark::State &state)
+{
+    std::optional<SimSession> s;
+    for (auto _ : state) {
+        state.PauseTiming();
+        buildCheckpointSession(s);
+        state.ResumeTiming();
+        s->warmup();
+    }
+}
+BENCHMARK(BM_SessionWarmup)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

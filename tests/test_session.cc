@@ -7,7 +7,11 @@
 //     hot-path regression would;
 //  2. corrupt, truncated, wrong-version, wrong-magic and
 //     wrong-identity checkpoints are rejected (restore returns false)
-//     and the session re-simulates to the correct result;
+//     and the session re-simulates to the correct result; a seeded
+//     mutation pass (truncations at section frames and window edges,
+//     byte flips, trailing bytes) holds restore() to the same rule,
+//     restore does not depend on how its source chunks reads, and the
+//     stream bytes are pinned so the wire format cannot drift;
 //  3. warmupFingerprint() keys on warmup-affecting state only:
 //     measure-only parameters (hermes.issue_latency, simInstrs) leave
 //     it unchanged, warmup-affecting ones (predictor, warmup window)
@@ -23,9 +27,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/fnv.hh"
+#include "common/rng.hh"
+#include "common/state_io.hh"
 #include "golden_util.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -59,20 +68,31 @@ class VectorSink : public ByteSink
     std::string path_ = "<memory>";
 };
 
-/** In-memory ByteSource over a byte vector. */
+/**
+ * In-memory ByteSource over a byte vector. A read() returns at most
+ * @p max_read bytes and never crosses @p cut, so tests can starve the
+ * reader (short reads) or end one read exactly at a chosen offset.
+ */
 class VectorSource : public ByteSource
 {
   public:
-    explicit VectorSource(std::vector<char> bytes)
-        : bytes_(std::move(bytes))
+    explicit VectorSource(std::vector<char> bytes,
+                          std::size_t max_read = SIZE_MAX,
+                          std::size_t cut = SIZE_MAX)
+        : bytes_(std::move(bytes)), maxRead_(max_read), cut_(cut)
     {
     }
 
     std::size_t read(void *data, std::size_t size) override
     {
-        const std::size_t n = std::min(size, bytes_.size() - pos_);
+        const std::size_t end =
+            pos_ < cut_ ? std::min(cut_, bytes_.size()) : bytes_.size();
+        const std::size_t n = std::min({size, maxRead_, end - pos_});
+        if (n == 0)
+            return 0;
         std::memcpy(data, bytes_.data() + pos_, n);
         pos_ += n;
+        readEnds.push_back(pos_);
         return n;
     }
     void rewind() override { pos_ = 0; }
@@ -83,8 +103,13 @@ class VectorSource : public ByteSource
         return static_cast<std::int64_t>(bytes_.size());
     }
 
+    /** Stream offset at which each non-empty read() stopped. */
+    std::vector<std::size_t> readEnds;
+
   private:
     std::vector<char> bytes_;
+    std::size_t maxRead_;
+    std::size_t cut_;
     std::size_t pos_ = 0;
     std::string path_ = "<memory>";
 };
@@ -173,6 +198,48 @@ TEST(Session, SnapshotRestoreMeasureMatchesStraightRun)
         EXPECT_EQ(statsFingerprint(restored.collect()), straight)
             << c.key << ": restore-from-checkpoint diverged from a "
             << "straight run";
+    }
+}
+
+TEST(Session, RestoreIgnoresHowTheSourceChunksItsReads)
+{
+    // The reader must not care whether its source trickles 3 bytes per
+    // read() or answers every request in full.
+    for (const SessionCase &c : sessionCases()) {
+        const std::uint64_t straight = straightRunFingerprint(c);
+        const std::vector<char> bytes = snapshotBytes(c);
+        for (const std::size_t max_read : {std::size_t{3}, SIZE_MAX}) {
+            SimSession restored(c.config, c.traces, goldenBudget());
+            restored.build();
+            VectorSource src(bytes, max_read);
+            ASSERT_TRUE(restored.restore(src))
+                << c.key << " max_read=" << max_read;
+            restored.measure();
+            EXPECT_EQ(statsFingerprint(restored.collect()), straight)
+                << c.key << " max_read=" << max_read;
+        }
+    }
+}
+
+TEST(Session, CheckpointBytesArePinned)
+{
+    // FNV-64 of each case's checkpoint stream. A change here means the
+    // wire format moved: bump kCheckpointVersion and re-pin, never
+    // re-pin alone.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"one.hermes.mcf", 0xff01b766191e5b98ull},
+        {"popet.streamer", 0x2757e4cadc7f8989ull},
+        {"hmp.spp", 0x7d57b85d220c6da0ull},
+        {"mix2.hermes", 0xa8e99e42003a6cf4ull},
+    };
+    for (const SessionCase &c : sessionCases()) {
+        const std::vector<char> bytes = snapshotBytes(c);
+        Fnv64 h;
+        h.addBytes(bytes.data(), bytes.size());
+        ASSERT_EQ(pinned.count(c.key), 1u) << c.key;
+        EXPECT_EQ(h.value(), pinned.at(c.key))
+            << c.key << ": checkpoint of " << bytes.size()
+            << " bytes hashes to 0x" << std::hex << h.value();
     }
 }
 
@@ -297,6 +364,130 @@ TEST(Session, WrongIdentityCheckpointRejected)
     s.measure();
     EXPECT_EQ(statsFingerprint(s.collect()),
               straightRunFingerprint(target));
+}
+
+/** A mutated checkpoint, and where its source must end a read(). */
+struct Mutant
+{
+    std::string what;
+    std::vector<char> bytes;
+    std::size_t cut = SIZE_MAX;
+};
+
+/** Offsets of the section frames: a u64 length of 4, then the tag. */
+std::vector<std::size_t>
+sectionOffsets(const std::vector<char> &bytes)
+{
+    static const char kLen4[8] = {4, 0, 0, 0, 0, 0, 0, 0};
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i + 12 <= bytes.size(); ++i) {
+        if (std::memcmp(&bytes[i], kLen4, 8) != 0)
+            continue;
+        const bool tag = std::all_of(
+            bytes.begin() + i + 8, bytes.begin() + i + 12, [](char ch) {
+                return (ch >= 'A' && ch <= 'Z') || (ch >= '0' && ch <= '9');
+            });
+        if (tag)
+            out.push_back(i);
+    }
+    return out;
+}
+
+/**
+ * The seeded mutants of the checkpoint @p good, whose restore read()s
+ * stopped at @p read_ends (the reader's window edges): truncations at
+ * every section boundary and at each window edge +-1, byte flips, and
+ * trailing bytes after an end that is also a window edge.
+ */
+std::vector<Mutant>
+checkpointMutants(const std::vector<char> &good,
+                  const std::vector<std::size_t> &read_ends,
+                  std::uint64_t seed)
+{
+    std::vector<Mutant> out;
+    auto truncate = [&](std::size_t at, const std::string &why) {
+        if (at < good.size())
+            out.push_back({why + " @" + std::to_string(at),
+                           std::vector<char>(good.begin(),
+                                             good.begin() + at)});
+    };
+    for (const std::size_t at : sectionOffsets(good)) {
+        truncate(at, "truncated at section frame");
+        truncate(at + 12, "truncated after section tag");
+    }
+    for (const std::size_t edge : read_ends)
+        for (const std::size_t at : {edge - 1, edge, edge + 1})
+            truncate(at, "truncated at window edge");
+    for (const std::size_t at : {std::size_t{0}, std::size_t{8},
+                                 good.size() - 8, good.size() - 1})
+        truncate(at, "truncated");
+
+    Rng rng(seed);
+    for (int i = 0; i < 32; ++i) {
+        Mutant m{"", good};
+        const std::size_t at = rng.below(good.size());
+        m.bytes[at] ^= static_cast<char>(1 + rng.below(255));
+        m.what = "byte flip @" + std::to_string(at);
+        out.push_back(std::move(m));
+    }
+
+    for (const std::size_t extra : {std::size_t{1}, std::size_t{8},
+                                    kStateWindow}) {
+        Mutant m{"trailing " + std::to_string(extra) + " bytes", good};
+        m.bytes.resize(good.size() + extra, 'x');
+        out.push_back(m);
+        m.what += " after a window-aligned end";
+        m.cut = good.size();
+        out.push_back(std::move(m));
+    }
+    return out;
+}
+
+TEST(CheckpointMutation, SeededMutantsRejectedAndSampleResimulates)
+{
+    // Every mutant must be rejected by restore() without a crash (this
+    // test also runs under ASan/UBSan); every kSampleEvery-th rejected
+    // session then warms up and must match the straight run.
+    constexpr std::size_t kSampleEvery = 24;
+    const auto cases = sessionCases();
+    for (const SessionCase *c : {&cases[0], &cases[2]}) {
+        const std::uint64_t straight = straightRunFingerprint(*c);
+        const std::vector<char> good = snapshotBytes(*c);
+
+        std::unique_ptr<SimSession> s;
+        auto fresh = [&] {
+            s = std::make_unique<SimSession>(c->config, c->traces,
+                                             goldenBudget());
+            s->build();
+        };
+        fresh();
+        VectorSource probe(good);
+        ASSERT_TRUE(s->restore(probe)) << c->key;
+        ASSERT_GE(probe.readEnds.size(), 2u) << c->key;
+        fresh();
+
+        const std::vector<Mutant> mutants =
+            checkpointMutants(good, probe.readEnds, 0x5eed);
+        std::size_t sampled = 0;
+        for (std::size_t i = 0; i < mutants.size(); ++i) {
+            const Mutant &m = mutants[i];
+            VectorSource src(m.bytes, SIZE_MAX, m.cut);
+            if (s->restore(src)) {
+                ADD_FAILURE() << c->key << ": " << m.what << " accepted";
+                fresh();
+                continue;
+            }
+            if (i % kSampleEvery != 0)
+                continue;
+            s->warmup();
+            s->measure();
+            EXPECT_EQ(statsFingerprint(s->collect()), straight)
+                << c->key << ": re-warm after " << m.what << " diverged";
+            ++sampled;
+            fresh();
+        }
+        EXPECT_GE(sampled, 3u) << c->key;
+    }
 }
 
 TEST(Session, WarmupFingerprintTracksWarmupAffectingStateOnly)
