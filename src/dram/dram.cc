@@ -6,13 +6,24 @@
 namespace hermes
 {
 
+DramController::Channel::Channel(const DramParams &p)
+    : banks(p.ranksPerChannel * p.banksPerRank), rqLines(p.rqSize),
+      wqLines(p.wqSize)
+{
+    rq.reserve(p.rqSize);
+    wq.reserve(p.wqSize);
+}
+
 DramController::DramController(DramParams params) : params_(params)
 {
     assert(params_.channels > 0);
-    channels_.resize(params_.channels);
-    const unsigned banks = params_.ranksPerChannel * params_.banksPerRank;
-    for (auto &ch : channels_)
-        ch.banks.resize(banks);
+    channels_.reserve(params_.channels);
+    for (unsigned c = 0; c < params_.channels; ++c)
+        channels_.emplace_back(params_);
+    // One waiter per queued read is the common case; merges grow the
+    // pool past this once, then it recycles.
+    waiters_.reserve(static_cast<std::size_t>(params_.channels) *
+                     params_.rqSize);
 }
 
 void
@@ -47,72 +58,99 @@ DramController::rowOf(Addr line) const
     return (l / lines_per_row) / banks;
 }
 
+DramController::ReadEntry &
+DramController::enqueueRead(Channel &ch, Addr line)
+{
+    ReadEntry &e = ch.rq.emplace_back();
+    e.line = line;
+    e.bank = bankOf(line);
+    e.row = rowOf(line);
+    e.arrived = now_;
+    ch.rqLines.insert(line, 1);
+    ++ch.queuedReads;
+    ch.readSchedBlockedUntil = 0;
+    return e;
+}
+
+void
+DramController::addWaiter(ReadEntry &e, const MemRequest &req)
+{
+    std::uint32_t n = freeWaiter_;
+    if (n != kNoWaiter) {
+        freeWaiter_ = waiters_[n].next;
+        waiters_[n] = Waiter{req, kNoWaiter};
+    } else {
+        n = static_cast<std::uint32_t>(waiters_.size());
+        waiters_.push_back(Waiter{req, kNoWaiter});
+    }
+    if (e.lastWaiter == kNoWaiter)
+        e.firstWaiter = n;
+    else
+        waiters_[e.lastWaiter].next = n;
+    e.lastWaiter = n;
+}
+
+void
+DramController::respond(const MemRequest &resp)
+{
+    const auto idx = static_cast<std::size_t>(resp.coreId);
+    if (idx < clients_.size() && clients_[idx] != nullptr)
+        clients_[idx]->returnData(resp);
+}
+
 bool
 DramController::addRead(const MemRequest &req)
 {
-    Channel &ch = channels_[channelOf(req.line())];
+    const Addr line = req.line();
+    Channel &ch = channels_[channelOf(line)];
 
-    // Read-after-write forwarding from the write queue (the line set
-    // gates the scan so the common no-match case is O(1)).
-    if (ch.wqLines.find(req.line()) != ch.wqLines.end())
-        for (const auto &w : ch.wq) {
-            if (w.line != req.line())
-                continue;
-            ++stats_.wqForwards;
-            MemRequest resp = req;
-            resp.servedFrom = MemLevel::Dram;
-            resp.cycleMcArrive = now_;
-            const auto idx = static_cast<std::size_t>(req.coreId);
-            if (idx < clients_.size() && clients_[idx] != nullptr)
-                clients_[idx]->returnData(resp);
-            return true;
-        }
+    // Read-after-write forwarding from the write queue. The response
+    // does not depend on which queued write matched, so the line count
+    // alone decides.
+    if (ch.wqLines.contains(line)) {
+        ++stats_.wqForwards;
+        MemRequest resp = req;
+        resp.servedFrom = MemLevel::Dram;
+        resp.cycleMcArrive = now_;
+        respond(resp);
+        return true;
+    }
+
+    MemRequest w = req;
+    w.cycleMcArrive = now_;
 
     // Merge with an in-flight read (regular or Hermes) to the same
-    // line; rq holds at most one entry per line, so the line set
+    // line; rq holds at most one entry per line, so the line index
     // decides in O(1) whether the locating scan is needed at all.
-    if (ch.rqLines.find(req.line()) != ch.rqLines.end())
-        for (auto &e : ch.rq) {
-            if (e.line != req.line())
-                continue;
-            MemRequest w = req;
-            w.cycleMcArrive = now_;
-            if (e.hermesInitiated && e.hermesOnly)
-                w.servedByHermes = true;
-            e.waiters.push_back(w);
-            e.hermesOnly = false;
-            ++stats_.readMerges;
-            return true;
-        }
+    if (ch.rqLines.contains(line)) {
+        ReadEntry &e = *std::find_if(
+            ch.rq.begin(), ch.rq.end(),
+            [line](const ReadEntry &r) { return r.line == line; });
+        if (e.hermesInitiated && e.hermesOnly)
+            w.servedByHermes = true;
+        addWaiter(e, w);
+        e.hermesOnly = false;
+        ++stats_.readMerges;
+        return true;
+    }
 
     if (ch.rq.size() >= params_.rqSize)
         return false;
-
-    ReadEntry e;
-    e.line = req.line();
-    e.bank = bankOf(req.line());
-    e.row = rowOf(req.line());
-    e.arrived = now_;
+    ReadEntry &e = enqueueRead(ch, line);
     e.hermesOnly = false;
-    MemRequest w = req;
-    w.cycleMcArrive = now_;
-    e.waiters.push_back(w);
-    ch.rqLines.insert(e.line);
-    ch.rq.push_back(std::move(e));
-    ++ch.queuedReads;
-    ch.readSchedBlockedUntil = 0;
+    addWaiter(e, w);
     return true;
 }
 
 bool
 DramController::addHermes(const MemRequest &req)
 {
-    Channel &ch = channels_[channelOf(req.line())];
+    const Addr line = req.line();
+    Channel &ch = channels_[channelOf(line)];
 
     // Already in flight (regular or another Hermes request): nothing to
-    // do, the data is on its way. Pure membership test — no entry needs
-    // touching, so the line set answers without any rq scan.
-    if (ch.rqLines.find(req.line()) != ch.rqLines.end()) {
+    // do, the data is on its way.
+    if (ch.rqLines.contains(line)) {
         ++stats_.hermesMergedIntoExisting;
         return true;
     }
@@ -120,34 +158,26 @@ DramController::addHermes(const MemRequest &req)
         ++stats_.hermesRejected;
         return false;
     }
-    ReadEntry e;
-    e.line = req.line();
-    e.bank = bankOf(req.line());
-    e.row = rowOf(req.line());
-    e.arrived = now_;
+    ReadEntry &e = enqueueRead(ch, line);
     e.hermesOnly = true;
     e.hermesInitiated = true;
-    ch.rqLines.insert(e.line);
-    ch.rq.push_back(std::move(e));
-    ++ch.queuedReads;
     ++stats_.hermesIssued;
-    ch.readSchedBlockedUntil = 0;
     return true;
 }
 
 bool
 DramController::addWrite(const MemRequest &req)
 {
-    Channel &ch = channels_[channelOf(req.line())];
+    const Addr line = req.line();
+    Channel &ch = channels_[channelOf(line)];
     // Soft-bounded like the cache write path; pressure shows up through
     // drain mode stealing read bandwidth.
-    WriteEntry w;
-    w.line = req.line();
-    w.bank = bankOf(req.line());
-    w.row = rowOf(req.line());
+    WriteEntry &w = ch.wq.emplace_back();
+    w.line = line;
+    w.bank = bankOf(line);
+    w.row = rowOf(line);
     w.arrived = req.cycleCreated;
-    ++ch.wqLines[w.line];
-    ch.wq.push_back(w);
+    ch.wqLines.increment(line);
     ++ch.queuedWrites;
     return true;
 }
@@ -252,75 +282,97 @@ DramController::scheduleWrites(Channel &ch, Cycle now)
 }
 
 void
+DramController::retireRead(Channel &ch, std::size_t i)
+{
+    const ReadEntry &e = ch.rq[i];
+    // Account the serviced read once, by its originating class.
+    if (e.hermesInitiated)
+        ++stats_.hermesReads;
+    else if (e.firstWaiter != kNoWaiter &&
+             waiters_[e.firstWaiter].req.type == AccessType::Prefetch)
+        ++stats_.prefetchReads;
+    else
+        ++stats_.demandReads;
+
+    if (e.hermesInitiated) {
+        if (e.firstWaiter == kNoWaiter)
+            ++stats_.hermesDropped; // §6.2.2: drop, no cache fill.
+        else
+            ++stats_.hermesUseful;
+    }
+
+    // Callbacks may re-enter addWrite (an LLC fill evicting a dirty
+    // line). rq never reallocates and waiters are reached by index, so
+    // both stay valid across them.
+    const std::uint32_t first = e.firstWaiter;
+    for (std::uint32_t n = first; n != kNoWaiter; n = waiters_[n].next) {
+        MemRequest w = waiters_[n].req;
+        w.servedFrom = MemLevel::Dram;
+        respond(w);
+    }
+    if (first != kNoWaiter) {
+        waiters_[ch.rq[i].lastWaiter].next = freeWaiter_;
+        freeWaiter_ = first;
+    }
+    ch.rqLines.erase(ch.rq[i].line);
+    ch.rq.erase(ch.rq.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void
 DramController::completeReads(Channel &ch, Cycle now)
 {
     Cycle next_read = 0;
     bool have_next_read = false;
     unsigned issued_left = ch.issuedReads;
-    for (auto it = ch.rq.begin(); issued_left != 0 && it != ch.rq.end();) {
-        if (it->state != State::Issued || it->finishAt > now) {
-            if (it->state == State::Issued) {
-                --issued_left;
-                if (!have_next_read || it->finishAt < next_read) {
-                    next_read = it->finishAt;
-                    have_next_read = true;
-                }
-            }
-            ++it;
+    for (std::size_t i = 0; issued_left != 0 && i < ch.rq.size();) {
+        const ReadEntry &e = ch.rq[i];
+        if (e.state != State::Issued) {
+            ++i;
             continue;
         }
         --issued_left;
+        if (e.finishAt > now) {
+            if (!have_next_read || e.finishAt < next_read) {
+                next_read = e.finishAt;
+                have_next_read = true;
+            }
+            ++i;
+            continue;
+        }
         --ch.issuedReads;
-        // Account the serviced read once, by its originating class.
-        if (it->hermesInitiated)
-            ++stats_.hermesReads;
-        else if (!it->waiters.empty() &&
-                 it->waiters.front().type == AccessType::Prefetch)
-            ++stats_.prefetchReads;
-        else
-            ++stats_.demandReads;
-
-        if (it->hermesInitiated) {
-            if (it->waiters.empty())
-                ++stats_.hermesDropped; // §6.2.2: drop, no cache fill.
-            else
-                ++stats_.hermesUseful;
-        }
-        for (MemRequest w : it->waiters) {
-            w.servedFrom = MemLevel::Dram;
-            const auto idx = static_cast<std::size_t>(w.coreId);
-            if (idx < clients_.size() && clients_[idx] != nullptr)
-                clients_[idx]->returnData(w);
-        }
-        ch.rqLines.erase(it->line);
-        it = ch.rq.erase(it);
+        retireRead(ch, i); // rq[i] now holds the next entry
     }
     ch.nextReadFinish = next_read;
 
+    // Writes produce no response: compact the survivors down in one
+    // pass, keeping arrival order.
     Cycle next_write = 0;
     bool have_next_write = false;
     unsigned w_issued_left = ch.issuedWrites;
-    for (auto it = ch.wq.begin();
-         w_issued_left != 0 && it != ch.wq.end();) {
-        if (it->state == State::Issued && it->finishAt <= now) {
-            ++stats_.writes;
+    std::size_t kept = 0;
+    std::size_t i = 0;
+    for (; w_issued_left != 0 && i < ch.wq.size(); ++i) {
+        const WriteEntry &e = ch.wq[i];
+        if (e.state == State::Issued) {
             --w_issued_left;
-            --ch.issuedWrites;
-            const auto lit = ch.wqLines.find(it->line);
-            if (lit != ch.wqLines.end() && --lit->second == 0)
-                ch.wqLines.erase(lit);
-            it = ch.wq.erase(it);
-        } else {
-            if (it->state == State::Issued) {
-                --w_issued_left;
-                if (!have_next_write || it->finishAt < next_write) {
-                    next_write = it->finishAt;
-                    have_next_write = true;
-                }
+            if (e.finishAt <= now) {
+                ++stats_.writes;
+                --ch.issuedWrites;
+                ch.wqLines.decrement(e.line);
+                continue;
             }
-            ++it;
+            if (!have_next_write || e.finishAt < next_write) {
+                next_write = e.finishAt;
+                have_next_write = true;
+            }
         }
+        if (kept != i)
+            ch.wq[kept] = e;
+        ++kept;
     }
+    if (kept != i)
+        ch.wq.erase(ch.wq.begin() + static_cast<std::ptrdiff_t>(kept),
+                    ch.wq.begin() + static_cast<std::ptrdiff_t>(i));
     ch.nextWriteFinish = next_write;
 }
 
@@ -441,8 +493,7 @@ DramController::nextEventCycle(Cycle now) const
 bool
 DramController::probeRead(Addr line) const
 {
-    const Channel &ch = channels_[channelOf(line)];
-    return ch.rqLines.find(line) != ch.rqLines.end();
+    return channels_[channelOf(line)].rqLines.contains(line);
 }
 
 void
@@ -461,9 +512,14 @@ DramController::saveState(StateWriter &w) const
             w.u64(e.finishAt);
             w.b(e.hermesOnly);
             w.b(e.hermesInitiated);
-            w.u64(e.waiters.size());
-            for (const MemRequest &req : e.waiters)
-                saveMemRequest(w, req);
+            std::uint64_t n_waiters = 0;
+            for (std::uint32_t n = e.firstWaiter; n != kNoWaiter;
+                 n = waiters_[n].next)
+                ++n_waiters;
+            w.u64(n_waiters);
+            for (std::uint32_t n = e.firstWaiter; n != kNoWaiter;
+                 n = waiters_[n].next)
+                saveMemRequest(w, waiters_[n].req);
         }
         w.u64(ch.wq.size());
         for (const WriteEntry &e : ch.wq) {
@@ -492,67 +548,114 @@ DramController::saveState(StateWriter &w) const
     w.u64(now_);
 }
 
+namespace
+{
+
+/** Entry state byte, checked: only Queued (0) and Issued (1) exist. */
+std::uint8_t
+loadStateByte(StateReader &r)
+{
+    const std::uint8_t s = r.u8();
+    if (s > 1)
+        throw StateError("dram entry state out of range");
+    return s;
+}
+
+} // namespace
+
+void
+DramController::loadChannel(StateReader &r, Channel &ch)
+{
+    // Every index and count below comes from the stream: check it
+    // before it addresses anything, so a corrupt or crafted checkpoint
+    // fails with StateError instead of indexing out of range.
+    const std::size_t n_banks = ch.banks.size();
+    unsigned queued = 0;
+    unsigned issued = 0;
+
+    ch.rq.clear();
+    ch.rqLines.clear();
+    const std::size_t nr = r.count(1u << 20);
+    if (nr > params_.rqSize)
+        throw StateError("dram read queue longer than rqSize");
+    for (std::size_t i = 0; i < nr; ++i) {
+        ReadEntry &e = ch.rq.emplace_back();
+        e.line = r.u64();
+        e.bank = r.u32();
+        if (e.bank >= n_banks)
+            throw StateError("dram read bank out of range");
+        e.row = r.u64();
+        e.arrived = r.u64();
+        e.state = static_cast<State>(loadStateByte(r));
+        ++(e.state == State::Queued ? queued : issued);
+        e.finishAt = r.u64();
+        e.hermesOnly = r.b();
+        e.hermesInitiated = r.b();
+        if (ch.rqLines.contains(e.line))
+            throw StateError("dram read queue holds a line twice");
+        ch.rqLines.insert(e.line, 1);
+        const std::size_t n_waiters = r.count(1u << 16);
+        if (n_waiters == 0 && !e.hermesInitiated)
+            throw StateError("dram regular read without a waiter");
+        for (std::size_t k = 0; k < n_waiters; ++k) {
+            MemRequest req;
+            loadMemRequest(r, req);
+            addWaiter(e, req);
+        }
+    }
+
+    unsigned queued_w = 0;
+    unsigned issued_w = 0;
+    ch.wq.clear();
+    ch.wqLines.clear();
+    const std::size_t nw = r.count(1u << 20);
+    for (std::size_t i = 0; i < nw; ++i) {
+        WriteEntry &e = ch.wq.emplace_back();
+        e.line = r.u64();
+        e.bank = r.u32();
+        if (e.bank >= n_banks)
+            throw StateError("dram write bank out of range");
+        e.row = r.u64();
+        e.arrived = r.u64();
+        e.state = static_cast<State>(loadStateByte(r));
+        ++(e.state == State::Queued ? queued_w : issued_w);
+        e.finishAt = r.u64();
+        ch.wqLines.increment(e.line);
+    }
+
+    if (r.u64() != n_banks)
+        throw StateError("dram bank count mismatch");
+    for (Bank &b : ch.banks) {
+        b.open = r.b();
+        b.row = r.u64();
+        b.readyAt = r.u64();
+    }
+    ch.busFreeAt = r.u64();
+    ch.drainingWrites = r.b();
+    ch.queuedReads = r.u32();
+    ch.issuedReads = r.u32();
+    ch.queuedWrites = r.u32();
+    ch.issuedWrites = r.u32();
+    if (ch.queuedReads != queued || ch.issuedReads != issued ||
+        ch.queuedWrites != queued_w || ch.issuedWrites != issued_w)
+        throw StateError("dram queue counters disagree with entries");
+    ch.nextReadFinish = r.u64();
+    ch.nextWriteFinish = r.u64();
+    // The scheduler's cached bound is derived: drop it (it
+    // re-establishes on the next scan).
+    ch.readSchedBlockedUntil = 0;
+}
+
 void
 DramController::loadState(StateReader &r)
 {
     r.section("DRAM");
     if (r.u64() != channels_.size())
         throw StateError("dram channel count mismatch");
-    for (Channel &ch : channels_) {
-        ch.rq.clear();
-        const std::size_t nr = r.count(1u << 20);
-        for (std::size_t i = 0; i < nr; ++i) {
-            ReadEntry e;
-            e.line = r.u64();
-            e.bank = r.u32();
-            e.row = r.u64();
-            e.arrived = r.u64();
-            e.state = static_cast<State>(r.u8());
-            e.finishAt = r.u64();
-            e.hermesOnly = r.b();
-            e.hermesInitiated = r.b();
-            e.waiters.resize(r.count(1u << 16));
-            for (MemRequest &req : e.waiters)
-                loadMemRequest(r, req);
-            ch.rq.push_back(std::move(e));
-        }
-        ch.wq.clear();
-        const std::size_t nw = r.count(1u << 20);
-        for (std::size_t i = 0; i < nw; ++i) {
-            WriteEntry e;
-            e.line = r.u64();
-            e.bank = r.u32();
-            e.row = r.u64();
-            e.arrived = r.u64();
-            e.state = static_cast<State>(r.u8());
-            e.finishAt = r.u64();
-            ch.wq.push_back(e);
-        }
-        if (r.u64() != ch.banks.size())
-            throw StateError("dram bank count mismatch");
-        for (Bank &b : ch.banks) {
-            b.open = r.b();
-            b.row = r.u64();
-            b.readyAt = r.u64();
-        }
-        ch.busFreeAt = r.u64();
-        ch.drainingWrites = r.b();
-        ch.queuedReads = r.u32();
-        ch.issuedReads = r.u32();
-        ch.queuedWrites = r.u32();
-        ch.issuedWrites = r.u32();
-        ch.nextReadFinish = r.u64();
-        ch.nextWriteFinish = r.u64();
-        // Derived lookup state: rebuild the line indexes and drop the
-        // scheduler's cached bound (it re-establishes on the next scan).
-        ch.rqLines.clear();
-        for (const ReadEntry &e : ch.rq)
-            ch.rqLines.insert(e.line);
-        ch.wqLines.clear();
-        for (const WriteEntry &e : ch.wq)
-            ++ch.wqLines[e.line];
-        ch.readSchedBlockedUntil = 0;
-    }
+    waiters_.clear();
+    freeWaiter_ = kNoWaiter;
+    for (Channel &ch : channels_)
+        loadChannel(r, ch);
     now_ = r.u64();
 }
 

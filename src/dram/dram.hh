@@ -13,15 +13,19 @@
  *    line is in flight merges with it and completes when it does;
  *  - a Hermes request that completes with no waiting regular request is
  *    dropped without filling any cache (keeping the hierarchy coherent).
+ *
+ * Storage is flat and allocation-free once it reaches its working set:
+ * each channel keeps its read and write queues as contiguous arrays in
+ * arrival order, its line indexes are open-addressed
+ * (common/addr_index.hh), and per-read waiters are FIFOs threaded
+ * through one pooled node array.
  */
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/mem_iface.hh"
+#include "common/addr_index.hh"
 #include "common/types.hh"
 
 namespace hermes
@@ -133,27 +137,43 @@ class DramController final : public MemDevice
   private:
     enum class State : std::uint8_t { Queued, Issued };
 
+    /** End of a waiter list / of the waiter free list. */
+    static constexpr std::uint32_t kNoWaiter = 0xFFFFFFFFu;
+
+    /**
+     * One read-queue entry. Its waiters (the regular requests that
+     * complete with it, in arrival order) are a FIFO threaded through
+     * the controller's waiter pool, firstWaiter -> lastWaiter.
+     */
     struct ReadEntry
     {
         Addr line = 0;
-        std::uint32_t bank = 0;
         std::uint64_t row = 0;
         Cycle arrived = 0;
-        State state = State::Queued;
         Cycle finishAt = 0;
+        std::uint32_t bank = 0;
+        std::uint32_t firstWaiter = kNoWaiter;
+        std::uint32_t lastWaiter = kNoWaiter;
+        State state = State::Queued;
         bool hermesOnly = true; ///< No regular request attached yet
         bool hermesInitiated = false;
-        std::vector<MemRequest> waiters;
     };
 
     struct WriteEntry
     {
         Addr line = 0;
-        std::uint32_t bank = 0;
         std::uint64_t row = 0;
         Cycle arrived = 0;
-        State state = State::Queued;
         Cycle finishAt = 0;
+        std::uint32_t bank = 0;
+        State state = State::Queued;
+    };
+
+    /** Pooled waiter node; free nodes chain through @c next. */
+    struct Waiter
+    {
+        MemRequest req;
+        std::uint32_t next = kNoWaiter;
     };
 
     struct Bank
@@ -165,8 +185,18 @@ class DramController final : public MemDevice
 
     struct Channel
     {
-        std::deque<ReadEntry> rq;
-        std::deque<WriteEntry> wq;
+        explicit Channel(const DramParams &p);
+
+        /**
+         * Read queue in arrival order: contiguous, reserved at rqSize
+         * and never longer (addRead/addHermes reject when full, and
+         * loadState refuses a longer queue), so it never reallocates —
+         * entries stay put while completion callbacks run.
+         */
+        std::vector<ReadEntry> rq;
+        /** Write queue in arrival order. Soft-bounded: grows to its
+         * working set, then stops allocating. */
+        std::vector<WriteEntry> wq;
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
         bool drainingWrites = false;
@@ -192,30 +222,46 @@ class DramController final : public MemDevice
          */
         Cycle readSchedBlockedUntil = 0;
         /**
-         * Lines of every entry in rq (reads merge by line, so entries
-         * are unique per line). O(1) duplicate/merge pre-check for
-         * addRead/addHermes/probeRead instead of an rq scan. Derived
-         * state, rebuilt on loadState.
+         * Lines present in rq (reads merge by line, so each appears
+         * at most once). O(1) merge pre-check for addRead/addHermes and
+         * the probeRead answer. Derived state, rebuilt on loadState.
          */
-        std::unordered_set<Addr> rqLines;
-        /** Occupancy count per line in wq (writes to one line can
-         * coexist). Gates the read-after-write forwarding scan. */
-        std::unordered_map<Addr, unsigned> wqLines;
+        AddrIndex rqLines;
+        /**
+         * Occupancy count per line in wq (writes to one line coexist).
+         * A read forwards from the write queue iff its line's count is
+         * non-zero: the response is the same whichever entry matches.
+         * Derived state, rebuilt on loadState.
+         */
+        AddrIndex wqLines;
     };
 
     unsigned channelOf(Addr line) const;
     std::uint32_t bankOf(Addr line) const;
     std::uint64_t rowOf(Addr line) const;
+    /** Append a Queued read for @p line (the caller checked room). */
+    ReadEntry &enqueueRead(Channel &ch, Addr line);
+    /** Append @p req to @p e's waiter FIFO, from the pool. */
+    void addWaiter(ReadEntry &e, const MemRequest &req);
+    /** Hand a response to its core's client, if one is wired. */
+    void respond(const MemRequest &resp);
     /** Bank access latency for the target row; updates row state. */
     Cycle access(Channel &ch, std::uint32_t bank, std::uint64_t row,
                  Cycle now);
     void scheduleReads(Channel &ch, Cycle now);
     void scheduleWrites(Channel &ch, Cycle now);
     void completeReads(Channel &ch, Cycle now);
+    /** Account, answer and remove the finished read at rq[@p i]. */
+    void retireRead(Channel &ch, std::size_t i);
+    void loadChannel(StateReader &r, Channel &ch);
 
     DramParams params_;
     std::vector<Channel> channels_;
     std::vector<MemClient *> clients_;
+    /** Waiter nodes of every channel's reads; grows to the working set
+     * of in-flight waiters, then recycles through freeWaiter_. */
+    std::vector<Waiter> waiters_;
+    std::uint32_t freeWaiter_ = kNoWaiter;
     DramStats stats_;
     Cycle now_ = 0;
 };

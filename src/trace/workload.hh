@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hh"
 
@@ -50,7 +51,20 @@ struct TraceInstr
     std::uint32_t depDistance = 0;
     InstrKind kind = InstrKind::Alu;
     bool branchTaken = false;  ///< Outcome for Branch
+    /**
+     * Always zero. Names the two tail bytes that would otherwise be
+     * padding: a copy of a padded record moves only its meaningful
+     * bytes (16 + 8 at offset 14), so the full-width reload after
+     * Workload::next() returns straddles two stores and misses
+     * store-to-load forwarding. With no padding the copy is whole.
+     */
+    std::uint16_t reserved = 0;
 };
+
+// Copied by value on every fetch: keep it free of implicit padding.
+static_assert(std::has_unique_object_representations_v<TraceInstr>,
+              "TraceInstr must carry no implicit padding");
+static_assert(sizeof(TraceInstr) == 24, "TraceInstr grew");
 
 /**
  * Infinite instruction stream. Implementations must be deterministic

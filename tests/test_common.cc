@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <vector>
 
 #include "common/addr_index.hh"
 #include "common/config.hh"
@@ -139,6 +141,39 @@ TEST(AddrIndex, SurvivesChurnAgainstReferenceMap)
         for (const Addr l : live)
             EXPECT_NE(idx.find(l), AddrIndex::kNotFound);
     }
+}
+
+TEST(AddrIndex, CountsGrowPastInitialSizeAgainstReferenceMap)
+{
+    // The DRAM write-queue use: per-line counts, far more live lines
+    // than the index was sized for (the table doubles as it fills).
+    AddrIndex idx(4);
+    std::map<Addr, std::uint32_t> ref;
+    Rng rng(7);
+    for (int op = 0; op < 20000; ++op) {
+        const Addr line = rng.below(600);
+        if (rng.chance(0.6)) {
+            idx.increment(line);
+            ++ref[line];
+        } else if (const auto it = ref.find(line); it != ref.end()) {
+            idx.decrement(line);
+            if (--it->second == 0)
+                ref.erase(it);
+        }
+        if (op % 97 == 0) {
+            for (Addr l = 0; l < 600; ++l) {
+                const auto it = ref.find(l);
+                ASSERT_EQ(idx.contains(l), it != ref.end()) << l;
+                if (it != ref.end()) {
+                    ASSERT_EQ(idx.find(l), it->second) << l;
+                }
+            }
+        }
+    }
+    EXPECT_GT(ref.size(), 100u); // well past the initial 16 slots / 2
+    idx.clear();
+    for (Addr l = 0; l < 600; ++l)
+        EXPECT_FALSE(idx.contains(l));
 }
 
 TEST(Types, AddressDecomposition)

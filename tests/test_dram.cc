@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hh"
+#include "common/state_io.hh"
 #include "dram/dram.hh"
 #include "test_helpers.hh"
 
@@ -15,6 +19,8 @@ namespace
 
 using test::loadReq;
 using test::RecordingClient;
+using test::VectorSink;
+using test::VectorSource;
 
 struct DramHarness
 {
@@ -288,6 +294,213 @@ TEST_P(DramRandomTraffic, ConservesRequests)
 
 INSTANTIATE_TEST_SUITE_P(Channels, DramRandomTraffic,
                          ::testing::Values(1u, 2u, 4u));
+
+// ---- Checkpoint hardening -------------------------------------------
+//
+// loadState() checks every index and count it reads before using it.
+// Each test hand-writes a one-channel DRAM section with StateWriter,
+// breaking exactly one rule, and requires a StateError (never a crash:
+// these run under ASan/UBSan in CI).
+
+/** Contents of a hand-written read-queue entry. */
+struct CkptRead
+{
+    Addr line = 0;
+    std::uint32_t bank = 0;
+    std::uint8_t state = 0; ///< 0 Queued, 1 Issued
+    bool hermesInitiated = false;
+    unsigned waiters = 1;
+};
+
+/** A one-channel DRAM section; counters default to a recount. */
+struct CkptSection
+{
+    std::vector<CkptRead> reads;
+    std::vector<std::uint32_t> writeBanks; ///< one Queued write each
+    std::uint8_t writeState = 0;
+    std::uint64_t banks = 16;
+    int queuedReadsSkew = 0;
+    int issuedWritesSkew = 0;
+};
+
+std::vector<char>
+writeSection(const CkptSection &c)
+{
+    VectorSink sink;
+    StateWriter w(sink);
+    w.section("DRAM");
+    w.u64(1); // channels
+    unsigned queued = 0;
+    unsigned issued = 0;
+    w.u64(c.reads.size());
+    for (const CkptRead &rd : c.reads) {
+        w.u64(rd.line);
+        w.u32(rd.bank);
+        w.u64(0);     // row
+        w.u64(0);     // arrived
+        w.u8(rd.state);
+        w.u64(rd.state == 1 ? 500 : 0); // finishAt
+        w.b(rd.hermesInitiated && rd.waiters == 0); // hermesOnly
+        w.b(rd.hermesInitiated);
+        w.u64(rd.waiters);
+        for (unsigned k = 0; k < rd.waiters; ++k)
+            saveMemRequest(w, loadReq(rd.line << kLogBlockSize));
+        ++(rd.state == 0 ? queued : issued);
+    }
+    w.u64(c.writeBanks.size());
+    for (std::uint32_t bank : c.writeBanks) {
+        w.u64(0x7000);
+        w.u32(bank);
+        w.u64(0);
+        w.u64(0);
+        w.u8(c.writeState);
+        w.u64(0);
+    }
+    w.u64(c.banks);
+    for (std::uint64_t b = 0; b < c.banks; ++b) {
+        w.b(false);
+        w.u64(0);
+        w.u64(0);
+    }
+    w.u64(0);     // busFreeAt
+    w.b(false);   // drainingWrites
+    w.u32(static_cast<std::uint32_t>(queued + c.queuedReadsSkew));
+    w.u32(issued);
+    w.u32(static_cast<std::uint32_t>(c.writeState == 0
+                                         ? c.writeBanks.size()
+                                         : 0));
+    w.u32(static_cast<std::uint32_t>(
+        (c.writeState == 1 ? c.writeBanks.size() : 0) +
+        c.issuedWritesSkew));
+    w.u64(issued != 0 ? 500 : 0); // nextReadFinish
+    w.u64(0);                     // nextWriteFinish
+    w.u64(42);                    // now
+    w.sealChecksum();
+    return sink.bytes;
+}
+
+/** Geometry of the hand-written sections: 2 ranks x 8 banks. */
+DramParams
+ckptParams()
+{
+    DramParams p;
+    p.ranksPerChannel = 2;
+    p.rqSize = 4;
+    return p;
+}
+
+void
+loadSection(DramController &dram, const std::vector<char> &bytes)
+{
+    VectorSource source(bytes);
+    StateReader r(source);
+    dram.loadState(r);
+    r.verifyChecksum();
+}
+
+CkptSection
+validSection()
+{
+    CkptSection c;
+    c.reads = {{0x10, 0, 0, false, 1},
+               {0x11, 15, 1, false, 2},
+               {0x12, 3, 0, true, 0}};
+    c.writeBanks = {0, 15};
+    return c;
+}
+
+TEST(DramCheckpoint, HandWrittenSectionRoundTrips)
+{
+    const std::vector<char> bytes = writeSection(validSection());
+    DramController dram(ckptParams());
+    loadSection(dram, bytes);
+    EXPECT_TRUE(dram.probeRead(0x10));
+    EXPECT_TRUE(dram.probeRead(0x12));
+    VectorSink again;
+    StateWriter w(again);
+    dram.saveState(w);
+    w.sealChecksum();
+    EXPECT_EQ(again.bytes, bytes);
+}
+
+/** Loading @p c must throw a StateError whose message names @p why. */
+void
+expectRejected(const CkptSection &c, const std::string &why)
+{
+    DramController dram(ckptParams());
+    try {
+        loadSection(dram, writeSection(c));
+        ADD_FAILURE() << "accepted; expected rejection for: " << why;
+    } catch (const StateError &e) {
+        EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(DramCheckpoint, RejectsReadQueueLongerThanRqSize)
+{
+    CkptSection c = validSection();
+    c.reads.push_back({0x20, 1, 0, false, 1});
+    c.reads.push_back({0x21, 2, 0, false, 1});
+    expectRejected(c, "longer than rqSize");
+}
+
+TEST(DramCheckpoint, RejectsReadBankOutOfRange)
+{
+    CkptSection c = validSection();
+    c.reads[1].bank = 16; // ranks x banks = 16
+    expectRejected(c, "read bank out of range");
+    c.reads[1].bank = 0xFFFFFFFFu;
+    expectRejected(c, "read bank out of range");
+}
+
+TEST(DramCheckpoint, RejectsWriteBankOutOfRange)
+{
+    CkptSection c = validSection();
+    c.writeBanks[1] = 16;
+    expectRejected(c, "write bank out of range");
+}
+
+TEST(DramCheckpoint, RejectsUnknownStateByte)
+{
+    CkptSection c = validSection();
+    c.reads[0].state = 2;
+    expectRejected(c, "state out of range");
+    c = validSection();
+    c.writeState = 7;
+    expectRejected(c, "state out of range");
+}
+
+TEST(DramCheckpoint, RejectsDuplicateReadLine)
+{
+    CkptSection c = validSection();
+    c.reads[2].line = c.reads[0].line;
+    expectRejected(c, "holds a line twice");
+}
+
+TEST(DramCheckpoint, RejectsRegularReadWithoutWaiter)
+{
+    CkptSection c = validSection();
+    c.reads[0].waiters = 0;
+    expectRejected(c, "without a waiter");
+}
+
+TEST(DramCheckpoint, RejectsCountersThatDisagreeWithEntries)
+{
+    CkptSection c = validSection();
+    c.queuedReadsSkew = 1;
+    expectRejected(c, "counters disagree");
+    c = validSection();
+    c.issuedWritesSkew = 1;
+    expectRejected(c, "counters disagree");
+}
+
+TEST(DramCheckpoint, RejectsBankCountMismatch)
+{
+    CkptSection c = validSection();
+    c.banks = 8;
+    expectRejected(c, "bank count mismatch");
+}
 
 } // namespace
 } // namespace hermes

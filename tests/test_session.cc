@@ -41,6 +41,7 @@
 #include "sim/warmup_cache.hh"
 #include "trace/suite.hh"
 #include "trace/trace_io.hh"
+#include "test_helpers.hh"
 
 namespace hermes
 {
@@ -49,70 +50,8 @@ namespace
 
 using golden::goldenBudget;
 using golden::loadGoldens;
-
-/** In-memory ByteSink so checkpoint bytes can be inspected/mutated. */
-class VectorSink : public ByteSink
-{
-  public:
-    void write(const void *data, std::size_t size) override
-    {
-        const auto *p = static_cast<const char *>(data);
-        bytes.insert(bytes.end(), p, p + size);
-    }
-    void finish() override {}
-    const std::string &path() const override { return path_; }
-
-    std::vector<char> bytes;
-
-  private:
-    std::string path_ = "<memory>";
-};
-
-/**
- * In-memory ByteSource over a byte vector. A read() returns at most
- * @p max_read bytes and never crosses @p cut, so tests can starve the
- * reader (short reads) or end one read exactly at a chosen offset.
- */
-class VectorSource : public ByteSource
-{
-  public:
-    explicit VectorSource(std::vector<char> bytes,
-                          std::size_t max_read = SIZE_MAX,
-                          std::size_t cut = SIZE_MAX)
-        : bytes_(std::move(bytes)), maxRead_(max_read), cut_(cut)
-    {
-    }
-
-    std::size_t read(void *data, std::size_t size) override
-    {
-        const std::size_t end =
-            pos_ < cut_ ? std::min(cut_, bytes_.size()) : bytes_.size();
-        const std::size_t n = std::min({size, maxRead_, end - pos_});
-        if (n == 0)
-            return 0;
-        std::memcpy(data, bytes_.data() + pos_, n);
-        pos_ += n;
-        readEnds.push_back(pos_);
-        return n;
-    }
-    void rewind() override { pos_ = 0; }
-    const std::string &path() const override { return path_; }
-    Compression compression() const override { return Compression::None; }
-    std::int64_t sizeHint() const override
-    {
-        return static_cast<std::int64_t>(bytes_.size());
-    }
-
-    /** Stream offset at which each non-empty read() stopped. */
-    std::vector<std::size_t> readEnds;
-
-  private:
-    std::vector<char> bytes_;
-    std::size_t maxRead_;
-    std::size_t cut_;
-    std::size_t pos_ = 0;
-    std::string path_ = "<memory>";
-};
+using test::VectorSink;
+using test::VectorSource;
 
 struct SessionCase
 {
