@@ -5,6 +5,12 @@
  * trace generation. These guard against performance regressions in the
  * structures every experiment exercises millions of times.
  *
+ * BM_TickLoopMix8 prices one System::tick() — one simulated cycle of
+ * the wake-time scheduler — on a warmed 8-core Pythia+Hermes mix of the
+ * first eight quick-suite traces:
+ *
+ *   micro_ops --benchmark_filter=TickLoop
+ *
  * The checkpoint kernels (BM_CheckpointSnapshot, BM_CheckpointRestore,
  * BM_SessionWarmup) price a warmup-store hit against the warmup it
  * replaces, on one single-core POPET+Pythia session, in memory:
@@ -17,6 +23,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +37,7 @@
 #include "predictor/popet.hh"
 #include "predictor/ttp.hh"
 #include "sim/simulator.hh"
+#include "sim/system.hh"
 #include "trace/suite.hh"
 #include "trace/trace_io.hh"
 
@@ -130,6 +138,27 @@ BM_DramRandomReads(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramRandomReads);
+
+void
+BM_TickLoopMix8(benchmark::State &state)
+{
+    // Reported as ns per simulated cycle: every iteration is one tick,
+    // visiting only the components whose wake slot is due.
+    SystemConfig cfg = SystemConfig::baseline(8);
+    cfg.prefetcher = "pythia";
+    cfg.predictor = "popet";
+    cfg.hermesIssueEnabled = true;
+    const std::vector<TraceSpec> suite = quickSuite();
+    std::vector<std::unique_ptr<Workload>> workloads;
+    for (int i = 0; i < cfg.numCores; ++i)
+        workloads.push_back(suite[i % suite.size()].make());
+    System sys(cfg, std::move(workloads));
+    sys.runWarmup(20'000);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sys.tick());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TickLoopMix8);
 
 void
 BM_TraceGeneration(benchmark::State &state)

@@ -229,7 +229,9 @@ Cache::addRead(const MemRequest &req)
         ++stats_.rqRejects;
         return false;
     }
-    rq_.push_back(QueueEntry{req, now_ + params_.latency});
+    const Cycle ready = slot_.now() + params_.latency;
+    rq_.push_back(QueueEntry{req, ready});
+    slot_.due(ready);
     return true;
 }
 
@@ -237,7 +239,9 @@ bool
 Cache::addWrite(const MemRequest &req)
 {
     // Soft-bounded: writes are always accepted (see file comment).
-    wq_.push_back(QueueEntry{req, now_ + params_.latency});
+    const Cycle ready = slot_.now() + params_.latency;
+    wq_.push_back(QueueEntry{req, ready});
+    slot_.due(ready);
     return true;
 }
 
@@ -441,6 +445,9 @@ Cache::invokePrefetcher(const MemRequest &req, bool hit)
         return;
     pfCandidates_.clear();
     prefetcher_->onAccess(req.address, req.pc, hit, pfCandidates_);
+    // Runs inside this cache's own tick, whose closing slot rewrite
+    // covers the pushes below.
+    const Cycle now = slot_.now();
     for (Addr line : pfCandidates_) {
         if (pq_.size() >= params_.pqSize)
             break;
@@ -449,8 +456,8 @@ Cache::invokePrefetcher(const MemRequest &req, bool hit)
         pf.pc = req.pc;
         pf.coreId = req.coreId;
         pf.type = AccessType::Prefetch;
-        pf.cycleCreated = now_;
-        pq_.push_back(QueueEntry{pf, now_ + 1});
+        pf.cycleCreated = now;
+        pq_.push_back(QueueEntry{pf, now + 1});
     }
 }
 
@@ -489,7 +496,7 @@ Cache::installLine(Addr line, Addr pc, AccessType type, bool dirty,
                 MemRequest wb;
                 wb.address = victim_line << kLogBlockSize;
                 wb.type = AccessType::Writeback;
-                wb.cycleCreated = now_;
+                wb.cycleCreated = slot_.now();
                 lower_->addWrite(wb);
             }
         }
@@ -609,7 +616,7 @@ Cache::saveState(StateWriter &w) const
     saveRing(w, rq_);
     saveRing(w, wq_);
     saveRing(w, pq_);
-    w.u64(now_);
+    w.u64(slot_.now());
     repl_->saveState(w);
 }
 
@@ -659,7 +666,7 @@ Cache::loadState(StateReader &r)
     loadRing(r, rq_);
     loadRing(r, wq_);
     loadRing(r, pq_);
-    now_ = r.u64();
+    slot_.restoreClock(r.u64());
     repl_->loadState(r);
     // The line->slot index is derived: rebuild it over occupied slots.
     mshrIndex_.clear();

@@ -29,9 +29,9 @@
  *  - the request queues are power-of-two ring buffers (Ring<>);
  *  - replacement callbacks are devirtualized by dispatching on
  *    ReplKind to the sealed policy classes;
- *  - tick() returns immediately when all queues are empty and no MSHR
- *    is waiting to be forwarded, which is the common case for upper
- *    levels in low-MPKI phases.
+ *  - inside a System the cache is ticked only when its wake slot is
+ *    due (common/wake.hh): addRead/addWrite lower the slot to the new
+ *    entry's deadline, and each tick rewrites it with nextEventCycle().
  */
 
 #include <algorithm>
@@ -46,6 +46,7 @@
 #include "common/addr_index.hh"
 #include "common/ring.hh"
 #include "common/types.hh"
+#include "common/wake.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace hermes
@@ -139,12 +140,19 @@ class Cache final : public MemDevice, public MemClient
     bool addRead(const MemRequest &req) override;
     bool addWrite(const MemRequest &req) override;
 
-    /** Advance one cycle. Inline: ticked every core cycle, and for
-     * upper levels in low-MPKI phases every queue is usually empty. */
+    /** Join System's wake-time schedule (common/wake.hh). */
+    void
+    attach(const SimClock *clock, TickStage stage, Cycle *slot)
+    {
+        slot_.attach(clock, stage, slot);
+    }
+
+    /** Advance one cycle, then rewrite the wake slot. Inline: the
+     * sweeps below are gated on their queue fronts. */
     void
     tick(Cycle now) override
     {
-        now_ = now;
+        slot_.tickedAt(now);
         if (unsentMshrs_ != 0)
             retryUnsentMshrs();
         // Each sweep is a pure no-op until its queue front's deadline
@@ -156,6 +164,8 @@ class Cache final : public MemDevice, public MemClient
             processReads(now);
         if (!pq_.empty() && pq_.front().readyAt <= now)
             processPrefetches(now);
+        if (slot_.attached())
+            slot_.rewrite(nextEventCycle(now));
     }
 
     /**
@@ -164,8 +174,11 @@ class Cache final : public MemDevice, public MemClient
      * already holds. Ring queues keep their earliest deadline at the
      * front (appends carry now + latency with a monotone clock; retry
      * push-fronts carry now), so only the three fronts are inspected.
-     * Fills arriving from below create new work but are themselves
-     * events of the lower level's horizon. Never less than @p now + 1.
+     * Requests from above lower the wake slot in addRead/addWrite.
+     * A fill from below (returnData) is handled synchronously and only
+     * frees MSHRs, which cannot make the cache due any earlier: work
+     * blocked on a full MSHR file is at the front and already due.
+     * Never less than @p now + 1.
      */
     Cycle
     nextEventCycle(Cycle now) const
@@ -184,10 +197,6 @@ class Cache final : public MemDevice, public MemClient
                                std::max(pq_.front().readyAt, now + 1));
         return horizon;
     }
-
-    /** Emulate an event-free span ending at @p now: such ticks only
-     * advance the cache clock (used to stamp enqueues from above). */
-    void skipTo(Cycle now) { now_ = now; }
 
     // MemClient (fill from the lower level)
     void returnData(const MemRequest &req) override;
@@ -315,7 +324,8 @@ class Cache final : public MemDevice, public MemClient
     /** Reused candidate buffer: no per-access heap allocation. */
     std::vector<Addr> pfCandidates_;
     CacheStats stats_;
-    Cycle now_ = 0;
+    /** Clock and wake slot (the clock stamps every enqueue). */
+    WakeSlot slot_;
 };
 
 } // namespace hermes

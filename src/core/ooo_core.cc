@@ -273,6 +273,10 @@ OooCore::wake(RobEntry &producer, Cycle now)
 void
 OooCore::returnData(const MemRequest &req)
 {
+    // Fills arrive before this core's turn in the cycle, so the clock
+    // reads the core's previous cycle: account the idle span up to it.
+    const Cycle now = slot_.now();
+    sync(now);
     const InstrId seq = req.instrId;
     if (seq < headSeq_ || seq >= nextSeq_)
         return; // Stale response (should not happen; loads block retire)
@@ -291,7 +295,8 @@ OooCore::returnData(const MemRequest &req)
     if (hermes_ != nullptr)
         hermes_->onLoadComplete(e.instr.pc, e.instr.vaddr, e.predMeta,
                                 e.wentOffChip, e.servedByHermes);
-    wake(e, now_);
+    wake(e, now);
+    slot_.due(now + 1);
 }
 
 namespace
@@ -311,7 +316,10 @@ void
 loadInstr(StateReader &r, TraceInstr &instr)
 {
     instr.pc = r.u64();
-    instr.kind = static_cast<InstrKind>(r.u8());
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(InstrKind::Branch))
+        throw StateError("core instruction kind out of range");
+    instr.kind = static_cast<InstrKind>(kind);
     instr.vaddr = r.u64();
     instr.branchTaken = r.b();
     instr.depDistance = r.u32();
@@ -344,6 +352,12 @@ loadPredMeta(StateReader &r, PredMeta &m)
 void
 OooCore::saveState(StateWriter &w) const
 {
+    // Written as of the clock: the cycles sync() has not accounted yet
+    // are charged to the ROB head exactly as sync() would charge them,
+    // so the bytes do not depend on when the core last ticked.
+    const Cycle now = std::max(slot_.now(), now_);
+    const RobEntry *head =
+        robEmpty() ? nullptr : &rob_[headSeq_ & robMask_];
     w.section("CORE");
     branch_.saveState(w);
     w.u64(rob_.size());
@@ -353,7 +367,7 @@ OooCore::saveState(StateWriter &w) const
         w.u8(static_cast<std::uint8_t>(e.state));
         w.u64(e.readyAt);
         w.u64(e.issueAt);
-        w.u64(e.blockedCycles);
+        w.u64(e.blockedCycles + (&e == head ? now - now_ : 0));
         savePredMeta(w, e.predMeta);
         w.b(e.wentOffChip);
         w.b(e.servedByHermes);
@@ -373,7 +387,7 @@ OooCore::saveState(StateWriter &w) const
     saveInstr(w, pendingFetch_);
     w.b(hasPendingFetch_);
     w.u64(fetchResumeAt_);
-    w.u64(now_);
+    w.u64(now);
 }
 
 void
@@ -386,7 +400,10 @@ OooCore::loadState(StateReader &r)
     for (RobEntry &e : rob_) {
         loadInstr(r, e.instr);
         e.seq = r.u64();
-        e.state = static_cast<State>(r.u8());
+        const std::uint8_t state = r.u8();
+        if (state > static_cast<std::uint8_t>(State::Done))
+            throw StateError("core rob entry state out of range");
+        e.state = static_cast<State>(state);
         e.readyAt = r.u64();
         e.issueAt = r.u64();
         e.blockedCycles = r.u64();
@@ -401,6 +418,11 @@ OooCore::loadState(StateReader &r)
     }
     headSeq_ = r.u64();
     nextSeq_ = r.u64();
+    // Seq 0 terminates waiter chains, so the window starts at 1.
+    if (headSeq_ == 0 || headSeq_ > nextSeq_)
+        throw StateError("core rob head after its tail");
+    if (nextSeq_ - headSeq_ > params_.robSize)
+        throw StateError("core rob window larger than robSize");
     lqUsed_ = r.u32();
     sqUsed_ = r.u32();
     readyLoads_.clear();
@@ -411,6 +433,73 @@ OooCore::loadState(StateReader &r)
     hasPendingFetch_ = r.b();
     fetchResumeAt_ = r.u64();
     now_ = r.u64();
+    slot_.restoreClock(now_);
+    checkRestoredWindow();
+}
+
+void
+OooCore::checkRestoredWindow() const
+{
+    auto live = [this](InstrId seq) {
+        return seq >= headSeq_ && seq < nextSeq_;
+    };
+
+    // Every slot in the window holds its own, in-flight instruction;
+    // the LQ/SQ counters are derived from them.
+    unsigned loads = 0;
+    unsigned stores = 0;
+    for (InstrId seq = headSeq_; seq < nextSeq_; ++seq) {
+        const RobEntry &e = rob_[seq & robMask_];
+        if (e.seq != seq || e.state == State::Empty)
+            throw StateError("core rob window slot not live");
+        if (e.instr.kind == InstrKind::Load && e.state != State::Done)
+            ++loads;
+        else if (e.instr.kind == InstrKind::Store)
+            ++stores;
+    }
+    if (lqUsed_ != loads || sqUsed_ != stores)
+        throw StateError("core lq/sq counters disagree with the rob");
+
+    // Ready loads: live, Ready, and each queued once (issue would send
+    // a duplicate to memory twice).
+    std::vector<bool> seen(rob_.size(), false);
+    for (std::size_t i = 0; i < readyLoads_.size(); ++i) {
+        const InstrId seq = readyLoads_.at(i);
+        if (!live(seq))
+            throw StateError("core ready load outside the rob window");
+        const RobEntry &e = rob_[seq & robMask_];
+        if (e.instr.kind != InstrKind::Load || e.state != State::Ready ||
+            seen[seq & robMask_])
+            throw StateError("core ready-load queue entry not a ready load");
+        seen[seq & robMask_] = true;
+    }
+
+    // Waiter chains: each hangs off a live producer, visits only
+    // younger live instructions, none twice (a cycle would hang
+    // wake()), and ends at the producer's recorded tail. Any other
+    // nextWaiter link must be clear, or a later append through a
+    // recycled slot would splice it into a chain.
+    std::fill(seen.begin(), seen.end(), false);
+    for (InstrId seq = headSeq_; seq < nextSeq_; ++seq) {
+        const RobEntry &p = rob_[seq & robMask_];
+        if ((p.firstWaiter == 0) != (p.lastWaiter == 0))
+            throw StateError("core waiter chain half empty");
+        InstrId tail = 0;
+        for (InstrId w = p.firstWaiter; w != 0;
+             w = rob_[w & robMask_].nextWaiter) {
+            if (!live(w) || w <= seq)
+                throw StateError("core waiter link leaves the window");
+            if (seen[w & robMask_])
+                throw StateError("core waiter chain revisits an entry");
+            seen[w & robMask_] = true;
+            tail = w;
+        }
+        if (tail != p.lastWaiter)
+            throw StateError("core waiter chain tail mismatch");
+    }
+    for (std::size_t slot = 0; slot < rob_.size(); ++slot)
+        if (!seen[slot] && rob_[slot].nextWaiter != 0)
+            throw StateError("core waiter link outside any chain");
 }
 
 } // namespace hermes

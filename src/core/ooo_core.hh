@@ -31,6 +31,7 @@
 #include "common/ring.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
+#include "common/wake.hh"
 #include "core/branch_predictor.hh"
 #include "hermes/hermes.hh"
 #include "predictor/offchip_pred.hh"
@@ -102,14 +103,26 @@ class OooCore final : public MemClient
     OooCore(int core_id, CoreParams params, Workload *workload,
             MemDevice *l1d, HermesController *hermes);
 
-    /** Advance one cycle: retire, issue loads, fetch/dispatch. Inline
-     * so the per-cycle stage guards avoid four calls when a stage has
-     * nothing to do (stalled on an off-chip load, fetch squashed).
+    /** Join System's wake-time schedule (common/wake.hh). The core's
+     * slot also covers its Hermes controller's issue queue. */
+    void
+    attach(const SimClock *clock, TickStage stage, Cycle *slot)
+    {
+        slot_.attach(clock, stage, slot);
+    }
+
+    /** Advance one cycle: retire, issue loads, fetch/dispatch, then
+     * rewrite the wake slot. Inline so the per-cycle stage guards
+     * avoid four calls when a stage has nothing to do (stalled on an
+     * off-chip load, fetch squashed).
      * @return true iff at least one instruction retired this cycle
      * (System::runMeasure re-checks completion only on such cycles). */
     bool
     tick(Cycle now)
     {
+        if (now != 0)
+            sync(now - 1);
+        slot_.tickedAt(now);
         now_ = now;
         ++stats_.cycles;
         const std::uint64_t retired_before = stats_.instrsRetired;
@@ -121,16 +134,48 @@ class OooCore final : public MemClient
             dispatch(now);
         if (hermes_ != nullptr)
             hermes_->tick(now);
-        return stats_.instrsRetired != retired_before;
+        const bool retired = stats_.instrsRetired != retired_before;
+        if (slot_.attached()) {
+            // A retiring core almost always has head-of-ROB work next
+            // cycle, so it skips computing the bound.
+            Cycle wake = now + 1;
+            if (!retired) {
+                wake = nextEventCycle(now);
+                if (hermes_ != nullptr)
+                    wake = std::min(wake, hermes_->nextEventCycle(now));
+            }
+            slot_.rewrite(wake);
+        }
+        return retired;
+    }
+
+    /**
+     * Account the cycles in (last accounted, @p upto] that were not
+     * ticked. Inside such a span the core has no due work (its wake
+     * slot said so), so a tick would only have counted the cycle and
+     * charged it to the (necessarily incomplete) ROB head. Runs before
+     * every tick and returnData(), and System runs it before clearing,
+     * collecting or checkpointing statistics.
+     */
+    void
+    sync(Cycle upto)
+    {
+        if (upto <= now_)
+            return;
+        const std::uint64_t idle = upto - now_;
+        now_ = upto;
+        stats_.cycles += idle;
+        if (!robEmpty())
+            rob_[headSeq_ & robMask_].blockedCycles += idle;
     }
 
     /**
      * Event-horizon contract (docs/performance.md): a lower bound, in
      * absolute cycles, on the next cycle at which ticking this core
-     * would do anything beyond the bookkeeping skipCycles() emulates.
+     * would do anything beyond the bookkeeping sync() accounts.
      * Externally triggered work — a load completion returning through
-     * returnData() — is covered by the cache/DRAM horizons, not this
-     * one. Never returns less than @p now + 1.
+     * returnData() — lowers the wake slot there instead. Never returns
+     * less than @p now + 1.
      */
     Cycle
     nextEventCycle(Cycle now) const
@@ -178,22 +223,7 @@ class OooCore final : public MemClient
         return horizon;  // LQ/SQ drain via completions/retire, covered
     }
 
-    /**
-     * Emulate @p cycles event-free ticks ending at absolute cycle
-     * @p now: exactly what tick() does on such cycles — advance the
-     * cycle counter and the core clock, and attribute blocked cycles
-     * to the (necessarily incomplete) ROB head.
-     */
-    void
-    skipCycles(Cycle now, std::uint64_t cycles)
-    {
-        now_ = now;
-        stats_.cycles += cycles;
-        if (!robEmpty())
-            rob_[headSeq_ & robMask_].blockedCycles += cycles;
-    }
-
-    // MemClient: load data returned by the L1.
+    // MemClient: load data returned by the L1; wakes the core.
     void returnData(const MemRequest &req) override;
 
     int coreId() const { return coreId_; }
@@ -206,7 +236,10 @@ class OooCore final : public MemClient
 
     std::uint64_t instrsRetired() const { return stats_.instrsRetired; }
 
-    /** Warmup checkpoint hooks (stats are zero at the snapshot seam). */
+    /** Warmup checkpoint hooks (stats are zero at the snapshot seam).
+     * saveState writes the state as of the clock, as if synced;
+     * loadState rejects any ROB, queue or waiter-chain inconsistency
+     * with StateError. */
     void saveState(StateWriter &w) const;
     void loadState(StateReader &r);
 
@@ -261,6 +294,9 @@ class OooCore final : public MemClient
     /** Completion of a non-memory instruction or load: wake waiters. */
     void wake(RobEntry &producer, Cycle now);
     bool nonLoadComplete(const RobEntry &e, Cycle now) const;
+    /** loadState's consistency checks over the restored ROB window,
+     * ready-load queue and waiter chains (throws StateError). */
+    void checkRestoredWindow() const;
 
     int coreId_;
     CoreParams params_;
@@ -282,8 +318,11 @@ class OooCore final : public MemClient
     TraceInstr pendingFetch_;
     bool hasPendingFetch_ = false;
     Cycle fetchResumeAt_ = 0;
+    /** Last cycle accounted in stats_ (ticked, or caught up by sync). */
     Cycle now_ = 0;
     CoreStats stats_;
+    /** Clock (read by returnData) and wake slot. */
+    WakeSlot slot_;
 };
 
 } // namespace hermes

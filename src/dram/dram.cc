@@ -65,10 +65,11 @@ DramController::enqueueRead(Channel &ch, Addr line)
     e.line = line;
     e.bank = bankOf(line);
     e.row = rowOf(line);
-    e.arrived = now_;
+    e.arrived = slot_.now();
     ch.rqLines.insert(line, 1);
     ++ch.queuedReads;
     ch.readSchedBlockedUntil = 0;
+    slot_.due(e.arrived + 1);
     return e;
 }
 
@@ -111,13 +112,13 @@ DramController::addRead(const MemRequest &req)
         ++stats_.wqForwards;
         MemRequest resp = req;
         resp.servedFrom = MemLevel::Dram;
-        resp.cycleMcArrive = now_;
+        resp.cycleMcArrive = slot_.now();
         respond(resp);
         return true;
     }
 
     MemRequest w = req;
-    w.cycleMcArrive = now_;
+    w.cycleMcArrive = slot_.now();
 
     // Merge with an in-flight read (regular or Hermes) to the same
     // line; rq holds at most one entry per line, so the line index
@@ -179,6 +180,7 @@ DramController::addWrite(const MemRequest &req)
     w.arrived = req.cycleCreated;
     ch.wqLines.increment(line);
     ++ch.queuedWrites;
+    slot_.due(slot_.now() + 1);
     return true;
 }
 
@@ -379,7 +381,12 @@ DramController::completeReads(Channel &ch, Cycle now)
 void
 DramController::tick(Cycle now)
 {
-    now_ = now;
+    slot_.tickedAt(now);
+    // Completions re-enter addWrite (an LLC fill evicting a dirty
+    // line), possibly on a channel this loop has already passed, and
+    // that lowers the slot: start it from "no work" so those lowers
+    // survive the minimum applied at the end.
+    slot_.rewrite(kNoEventCycle);
     for (auto &ch : channels_) {
         if (ch.rq.empty() && ch.wq.empty())
             continue;
@@ -420,6 +427,36 @@ DramController::tick(Cycle now)
             scheduleReads(ch, now);
         }
     }
+    if (!slot_.attached())
+        return;
+    Cycle wake = kNoEventCycle;
+    for (const Channel &ch : channels_)
+        wake = std::min(wake, wakeAfterTick(ch, now));
+    slot_.due(wake);
+}
+
+Cycle
+DramController::wakeAfterTick(const Channel &ch, Cycle now) const
+{
+    // Every in-flight finish is in the future here: completeReads just
+    // retired the due ones, and a fresh issue finishes after its bank
+    // latency. The drain flag is the one this tick computed, and queue
+    // sizes only change through completions (covered) or arrivals
+    // (which lower the slot themselves, also when they re-enter this
+    // tick after the channel's hysteresis ran). An empty channel has
+    // no work.
+    Cycle wake = kNoEventCycle;
+    if (ch.issuedReads != 0)
+        wake = ch.nextReadFinish;
+    if (ch.issuedWrites != 0)
+        wake = std::min(wake, ch.nextWriteFinish);
+    if (ch.drainingWrites) {
+        if (ch.queuedWrites != 0)
+            return now + 1;
+    } else if (ch.queuedReads != 0) {
+        wake = std::min(wake, std::max(ch.readSchedBlockedUntil, now + 1));
+    }
+    return wake;
 }
 
 Cycle
@@ -545,7 +582,7 @@ DramController::saveState(StateWriter &w) const
         w.u64(ch.nextReadFinish);
         w.u64(ch.nextWriteFinish);
     }
-    w.u64(now_);
+    w.u64(slot_.now());
 }
 
 namespace
@@ -656,7 +693,7 @@ DramController::loadState(StateReader &r)
     freeWaiter_ = kNoWaiter;
     for (Channel &ch : channels_)
         loadChannel(r, ch);
-    now_ = r.u64();
+    slot_.restoreClock(r.u64());
 }
 
 } // namespace hermes

@@ -27,6 +27,7 @@
 #include "cache/mem_iface.hh"
 #include "common/addr_index.hh"
 #include "common/types.hh"
+#include "common/wake.hh"
 
 namespace hermes
 {
@@ -98,9 +99,20 @@ class DramController final : public MemDevice
     /** Wire the response receiver for core @p core_id (its LLC path). */
     void setClient(int core_id, MemClient *client);
 
-    // MemDevice
+    /** Join System's wake-time schedule (common/wake.hh). */
+    void
+    attach(const SimClock *clock, TickStage stage, Cycle *slot)
+    {
+        slot_.attach(clock, stage, slot);
+    }
+
+    // MemDevice. A read or write that enqueues lowers the wake slot to
+    // the next cycle (a merge or write-queue forward adds no work).
     bool addRead(const MemRequest &req) override;
     bool addWrite(const MemRequest &req) override;
+    /** Advance one cycle, then rewrite the wake slot from the state
+     * this tick computed (wakeAfterTick), without a queue walk, keeping
+     * any lower slot that writes re-entering the tick asked for. */
     void tick(Cycle now) override;
 
     /**
@@ -108,13 +120,11 @@ class DramController final : public MemDevice
      * the next cycle at which tick() could complete or issue anything —
      * the earliest in-flight finish time, or the earliest bank-ready
      * time of a Queued entry on the side the write-drain hysteresis
-     * will select. Never less than @p now + 1.
+     * will select. Never less than @p now + 1. System schedules the
+     * controller from the cheaper wakeAfterTick(); this full bound is
+     * the reference the tests hold the wake slot to.
      */
     Cycle nextEventCycle(Cycle now) const;
-
-    /** Emulate an event-free span ending at @p now: such ticks only
-     * advance the controller clock (used to stamp enqueues). */
-    void skipTo(Cycle now) { now_ = now; }
 
     /**
      * Enqueue a speculative Hermes read (paper §6.2.1). Returns false if
@@ -251,6 +261,14 @@ class DramController final : public MemDevice
     void scheduleReads(Channel &ch, Cycle now);
     void scheduleWrites(Channel &ch, Cycle now);
     void completeReads(Channel &ch, Cycle now);
+    /**
+     * The next cycle @p ch has work, right after tick(@p now) ran on
+     * it: its earliest in-flight finish, the read scheduler's blocked
+     * bound, or the next cycle while a write drain has queued writes.
+     * A lower bound on nextEventCycle(@p now) built from counters the
+     * tick already maintains, so it costs no queue walk.
+     */
+    Cycle wakeAfterTick(const Channel &ch, Cycle now) const;
     /** Account, answer and remove the finished read at rq[@p i]. */
     void retireRead(Channel &ch, std::size_t i);
     void loadChannel(StateReader &r, Channel &ch);
@@ -263,7 +281,8 @@ class DramController final : public MemDevice
     std::vector<Waiter> waiters_;
     std::uint32_t freeWaiter_ = kNoWaiter;
     DramStats stats_;
-    Cycle now_ = 0;
+    /** Clock (stamps arrivals) and wake slot. */
+    WakeSlot slot_;
 };
 
 } // namespace hermes

@@ -136,6 +136,15 @@ class Pythia : public Prefetcher
             e.phi2 = r.u32();
             e.action = r.u32();
             e.rewarded = r.b();
+            // Rewarding the entry indexes both Q-tables by its features
+            // and kActions by its action: check them here, so a corrupt
+            // section fails instead of indexing out of range.
+            if (e.phi1 >= table1_.size())
+                throw StateError("pythia eq phi1 out of range");
+            if (e.phi2 >= table2_.size())
+                throw StateError("pythia eq phi2 out of range");
+            if (e.action >= kActions.size())
+                throw StateError("pythia eq action out of range");
             // The per-line chains are derived state (they thread the
             // unrewarded entries only); rebuild them as we go.
             if (!e.rewarded)
@@ -173,6 +182,9 @@ class Pythia : public Prefetcher
             o = r.u8();
         lastPhi1_ = r.u32();
         lastPhi2_ = r.u32();
+        // The reward bootstrap indexes the Q-tables by these too.
+        if (lastPhi1_ >= table1_.size() || lastPhi2_ >= table2_.size())
+            throw StateError("pythia last feature index out of range");
         havePrev_ = r.b();
     }
 

@@ -40,9 +40,9 @@ struct HostPerf
  * Per-component host-time attribution for one run (System `--profile`
  * mode, enabled by the HERMES_PROFILE environment variable). The cycle
  * counters are maintained on every run (they are cheap and make the
- * event-horizon skip ratio observable); the per-component seconds are
- * only accumulated when profiling is enabled, because they cost two
- * clock reads per pipeline stage per cycle. Like HostPerf, all of this
+ * idle-skip ratio observable); the per-component seconds are only
+ * accumulated when profiling is enabled, because they cost a clock
+ * read per pipeline stage per cycle. Like HostPerf, all of this
  * describes the simulator, never the simulated machine, and is
  * excluded from statsFingerprint().
  */
@@ -54,13 +54,14 @@ struct HostProfile
     double llcSeconds = 0;
     double l2Seconds = 0;
     double l1Seconds = 0;
-    /** Cores, including the Hermes controllers they tick. */
+    /** Cores, including the Hermes controllers they tick. Each stage
+     * includes its wake-slot checks. */
     double coreSeconds = 0;
-    /** nextEventHorizon() evaluation + fast-forward bookkeeping. */
+    /** nextEventHorizon() evaluation + idle fast-forward. */
     double horizonSeconds = 0;
     /** Cycles actually ticked (warmup + measurement). */
     std::uint64_t tickedCycles = 0;
-    /** Idle cycles fast-forwarded by the event-horizon loop. */
+    /** Idle cycles fast-forwarded (every wake slot in the future). */
     std::uint64_t skippedCycles = 0;
 };
 

@@ -238,8 +238,21 @@ System::System(const SystemConfig &config,
     }
     finishCycle_.assign(n, 0);
 
+    // Seat every component in the wake-time schedule. Slots start at 0
+    // (due), so the first tick visits everything.
+    wake_.assign(2 + 3 * static_cast<std::size_t>(n), 0);
+    Cycle *slot = wake_.data();
+    dram_->attach(&clock_, kStageDram, slot++);
+    llc_->attach(&clock_, kStageLlc, slot++);
+    for (auto &c : l2_)
+        c->attach(&clock_, kStageL2, slot++);
+    for (auto &c : l1_)
+        c->attach(&clock_, kStageL1, slot++);
+    for (auto &c : cores_)
+        c->attach(&clock_, kStageCore, slot++);
+
     // Environment escape hatches (docs/performance.md): disable the
-    // event-horizon fast-forward (determinism cross-check) and enable
+    // wake-time scheduler's skipping (determinism cross-check) and enable
     // per-component host-time attribution (bench --profile).
     eventSkip_ = std::getenv("HERMES_NO_EVENT_SKIP") == nullptr;
     profile_.enabled = std::getenv("HERMES_PROFILE") != nullptr;
@@ -247,140 +260,143 @@ System::System(const SystemConfig &config,
 
 System::~System() = default;
 
+namespace
+{
+
+/** Per-stage host-time attribution for tickStages<true>; the
+ * Enabled = false instance compiles to nothing. */
+template <bool Enabled>
+class StageTimer
+{
+  public:
+    using clock = std::chrono::steady_clock;
+
+    StageTimer()
+    {
+        if constexpr (Enabled)
+            last_ = clock::now();
+    }
+
+    /** Charge the time since the previous lap to @p seconds. */
+    void
+    lap(double &seconds)
+    {
+        if constexpr (Enabled) {
+            const auto t = clock::now();
+            seconds += std::chrono::duration<double>(t - last_).count();
+            last_ = t;
+        }
+    }
+
+  private:
+    clock::time_point last_;
+};
+
+} // namespace
+
 bool
 System::tick()
 {
-    if (profile_.enabled)
-        return tickProfiled();
-    ++now_;
-    ++profile_.tickedCycles;
-    dram_->tick(now_);
-    llc_->tick(now_);
-    for (auto &c : l2_)
-        c->tick(now_);
-    for (auto &c : l1_)
-        c->tick(now_);
-    bool retired = false;
-    for (auto &c : cores_)
-        retired |= c->tick(now_);
-    return retired;
+    return profile_.enabled ? tickStages<true>() : tickStages<false>();
 }
 
+template <bool Timed>
 bool
-System::tickProfiled()
+System::tickStages()
 {
-    using clock = std::chrono::steady_clock;
-    auto seconds_since = [](clock::time_point t0, clock::time_point t1) {
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-    ++now_;
+    StageTimer<Timed> timer;
+    const Cycle now = ++clock_.now;
     ++profile_.tickedCycles;
-    const auto t0 = clock::now();
-    dram_->tick(now_);
-    const auto t1 = clock::now();
-    profile_.dramSeconds += seconds_since(t0, t1);
-    llc_->tick(now_);
-    const auto t2 = clock::now();
-    profile_.llcSeconds += seconds_since(t1, t2);
-    for (auto &c : l2_)
-        c->tick(now_);
-    const auto t3 = clock::now();
-    profile_.l2Seconds += seconds_since(t2, t3);
-    for (auto &c : l1_)
-        c->tick(now_);
-    const auto t4 = clock::now();
-    profile_.l1Seconds += seconds_since(t3, t4);
+    // Each component rewrites its own slot when it ticks, and another
+    // component's call into it can lower the slot mid-cycle, so a slot
+    // is read just before its component's turn.
+    const bool every = !eventSkip_;
+    const Cycle *slot = wake_.data();
+    clock_.stage = kStageDram;
+    if (every || *slot <= now)
+        dram_->tick(now);
+    ++slot;
+    timer.lap(profile_.dramSeconds);
+    clock_.stage = kStageLlc;
+    if (every || *slot <= now)
+        llc_->tick(now);
+    ++slot;
+    timer.lap(profile_.llcSeconds);
+    clock_.stage = kStageL2;
+    for (auto &c : l2_) {
+        if (every || *slot <= now)
+            c->tick(now);
+        ++slot;
+    }
+    timer.lap(profile_.l2Seconds);
+    clock_.stage = kStageL1;
+    for (auto &c : l1_) {
+        if (every || *slot <= now)
+            c->tick(now);
+        ++slot;
+    }
+    timer.lap(profile_.l1Seconds);
+    clock_.stage = kStageCore;
     bool retired = false;
-    for (auto &c : cores_)
-        retired |= c->tick(now_);
-    profile_.coreSeconds += seconds_since(t4, clock::now());
+    for (auto &c : cores_) {
+        if (every || *slot <= now)
+            retired |= c->tick(now);
+        ++slot;
+    }
+    clock_.stage = kStageDone;
+    timer.lap(profile_.coreSeconds);
     return retired;
 }
 
 Cycle
 System::nextEventHorizon() const
 {
-    // Minimum over every component's lower bound. Each contract
-    // guarantees a result of at least now_ + 1, so once any component
-    // reports exactly that we can stop scanning: nothing can be lower.
-    const Cycle next = now_ + 1;
-    Cycle horizon = kNoEventCycle;
-    for (const auto &c : cores_) {
-        horizon = std::min(horizon, c->nextEventCycle(now_));
-        if (horizon <= next)
-            return next;
-    }
-    for (const auto &h : hermes_) {
-        horizon = std::min(horizon, h->nextEventCycle(now_));
-        if (horizon <= next)
-            return next;
-    }
-    for (const auto &c : l1_) {
-        horizon = std::min(horizon, c->nextEventCycle(now_));
-        if (horizon <= next)
-            return next;
-    }
-    for (const auto &c : l2_) {
-        horizon = std::min(horizon, c->nextEventCycle(now_));
-        if (horizon <= next)
-            return next;
-    }
-    horizon = std::min(horizon, llc_->nextEventCycle(now_));
-    if (horizon <= next)
-        return next;
-    horizon = std::min(horizon, dram_->nextEventCycle(now_));
-    return std::max(horizon, next);
+    const Cycle horizon = *std::min_element(wake_.begin(), wake_.end());
+    return std::max(horizon, clock_.now + 1);
 }
 
 void
-System::skipIdle(Cycle target)
+System::skipToHorizon(Cycle limit)
 {
-    // Emulate what ticking the cycles in (now_, target] would have
-    // done: nothing happens in an event-free span except that every
-    // component clock advances (caches and DRAM stamp enqueues from
-    // their own clocks) and the cores account stall cycles.
-    const std::uint64_t skipped = target - now_;
-    now_ = target;
-    profile_.skippedCycles += skipped;
-    dram_->skipTo(now_);
-    llc_->skipTo(now_);
-    for (auto &c : l2_)
-        c->skipTo(now_);
-    for (auto &c : l1_)
-        c->skipTo(now_);
-    for (auto &c : cores_)
-        c->skipCycles(now_, skipped);
-}
-
-void
-System::doSkip(Cycle limit)
-{
-    if (profile_.enabled) {
-        using clock = std::chrono::steady_clock;
-        const auto t0 = clock::now();
-        const Cycle horizon = nextEventHorizon();
-        if (horizon > now_ + 1) {
-            // Stop one cycle short of the horizon (the event itself
-            // must be ticked) and never past the watchdog limit.
-            const Cycle target = std::min<Cycle>(horizon - 1, limit);
-            if (target > now_)
-                skipIdle(target);
-        }
-        profile_.horizonSeconds +=
-            std::chrono::duration<double>(clock::now() - t0).count();
-        return;
-    }
     const Cycle horizon = nextEventHorizon();
-    if (horizon <= now_ + 1)
+    if (horizon <= clock_.now + 1)
         return;
+    // Stop one cycle short of the horizon (the event itself must be
+    // ticked) and never past the watchdog limit. Nothing happens in the
+    // span: components read the shared clock, and the cores count it
+    // lazily (OooCore::sync).
     const Cycle target = std::min<Cycle>(horizon - 1, limit);
-    if (target > now_)
-        skipIdle(target);
+    if (target <= clock_.now)
+        return;
+    profile_.skippedCycles += target - clock_.now;
+    clock_.now = target;
+}
+
+void
+System::maybeSkip(Cycle limit)
+{
+    if (!eventSkip_)
+        return;
+    if (!profile_.enabled) {
+        skipToHorizon(limit);
+        return;
+    }
+    StageTimer<true> timer;
+    skipToHorizon(limit);
+    timer.lap(profile_.horizonSeconds);
+}
+
+void
+System::syncCores()
+{
+    for (auto &c : cores_)
+        c->sync(clock_.now);
 }
 
 void
 System::clearAllStats()
 {
+    syncCores();
     for (auto &c : cores_)
         c->clearStats();
     for (auto &c : l1_)
@@ -427,7 +443,7 @@ System::runWarmup(std::uint64_t warmup_instrs)
     // all_reached() only changes when a core retires, and retirement is
     // an event, so fast-forwarding between ticks never skips the
     // completion check past the finish point.
-    while (!all_reached(warmup_instrs) && now_ < max_cycles) {
+    while (!all_reached(warmup_instrs) && clock_.now < max_cycles) {
         // Only probe the horizon after non-retiring ticks: a retiring
         // core almost always has head-of-ROB work next cycle, so the
         // probe would be wasted; skipping fewer idle spans is always
@@ -446,7 +462,7 @@ System::runWarmup(std::uint64_t warmup_instrs)
         warmupExecuted_ += c->instrsRetired();
     warmupSeconds_ = watch.elapsedSeconds();
     clearAllStats();
-    measureStart_ = now_;
+    measureStart_ = clock_.now;
     finishCycle_.assign(n, 0);
 }
 
@@ -464,7 +480,7 @@ System::runMeasure(std::uint64_t sim_instrs)
     // sim_instrs == 0 edge (quota met before the first tick).
     bool done = false;
     bool recheck = true;
-    while (!done && now_ < measureStart_ + max_cycles) {
+    while (!done && clock_.now < measureStart_ + max_cycles) {
         const bool retired = tick();
         if (retired || recheck) {
             recheck = false;
@@ -472,7 +488,7 @@ System::runMeasure(std::uint64_t sim_instrs)
             for (int i = 0; i < n; ++i) {
                 if (cores_[i]->instrsRetired() >= sim_instrs) {
                     if (finishCycle_[i] == 0)
-                        finishCycle_[i] = now_ - measureStart_;
+                        finishCycle_[i] = clock_.now - measureStart_;
                 } else {
                     done = false;
                 }
@@ -484,8 +500,9 @@ System::runMeasure(std::uint64_t sim_instrs)
             maybeSkip(measureStart_ + max_cycles);
     }
 
+    syncCores();
     RunStats stats = collect();
-    stats.simCycles = now_ - measureStart_;
+    stats.simCycles = clock_.now - measureStart_;
     stats.hostPerf.seconds = warmupSeconds_ + watch.elapsedSeconds();
     stats.hostPerf.instrs = warmupExecuted_ + stats.instrsRetired();
     return stats;
@@ -518,7 +535,7 @@ System::saveState(StateWriter &w) const
 {
     w.section("SYST");
     w.u32(static_cast<std::uint32_t>(config_.numCores));
-    w.u64(now_);
+    w.u64(clock_.now);
     for (const auto &wl : workloads_)
         wl->saveState(w);
     dram_->saveState(w);
@@ -544,7 +561,8 @@ System::loadState(StateReader &r)
     r.section("SYST");
     if (r.u32() != static_cast<std::uint32_t>(config_.numCores))
         throw StateError("core count mismatch");
-    now_ = r.u64();
+    clock_.now = r.u64();
+    clock_.stage = kStageDone;
     for (auto &wl : workloads_)
         wl->loadState(r);
     dram_->loadState(r);
@@ -562,10 +580,12 @@ System::loadState(StateReader &r)
         h->loadState(r);
     for (auto &c : cores_)
         c->loadState(r);
-    // Re-establish the snapshot seam: stats are zero by construction,
-    // the measurement window starts here, and this process did no
-    // warmup work (host-perf accounting).
-    measureStart_ = now_;
+    // Re-establish the snapshot seam: every component is due on the
+    // next tick, stats are zero by construction, the measurement window
+    // starts here, and this process did no warmup work (host-perf
+    // accounting).
+    std::fill(wake_.begin(), wake_.end(), 0);
+    measureStart_ = clock_.now;
     finishCycle_.assign(config_.numCores, 0);
     warmupExecuted_ = 0;
     warmupSeconds_ = 0.0;

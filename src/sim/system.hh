@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "common/wake.hh"
 #include "core/ooo_core.hh"
 #include "dram/dram.hh"
 #include "hermes/hermes.hh"
@@ -217,27 +218,40 @@ class System
     void loadState(StateReader &r);
 
     /**
-     * Single-stepping access for fine-grained tests.
+     * Advance one cycle, visiting (in stage order: DRAM, LLC, L2s, L1s,
+     * cores) each component whose wake slot is due — or every
+     * component when the event skip is off. Single-stepping access for
+     * fine-grained tests.
      * @return true iff any core retired at least one instruction
      * (run{Warmup,Measure} re-check completion only on such cycles).
      */
     bool tick();
-    Cycle now() const { return now_; }
+    Cycle now() const { return clock_.now; }
 
     /**
-     * The event-horizon of the whole machine: the minimum of every
-     * component's nextEventCycle() (docs/performance.md). Cycles in
-     * (now(), horizon) are provably event-free — ticking them would
-     * only perform the bookkeeping skipIdle() emulates — so the run
-     * loops fast-forward across them. Always at least now() + 1.
+     * The event horizon of the whole machine: the earliest wake slot
+     * (docs/performance.md). Each slot is a lower bound on its
+     * component's next work, so cycles in (now(), horizon) are provably
+     * event-free and the run loops fast-forward across them. Always at
+     * least now() + 1.
      */
     Cycle nextEventHorizon() const;
 
     /**
-     * Enable/disable the event-horizon fast-forward (defaults to on;
-     * the HERMES_NO_EVENT_SKIP environment variable disables it at
-     * construction — the escape hatch the determinism tests use to
-     * prove the two loops produce identical statistics).
+     * The wake slots, in tick order: DRAM, LLC, the L2s, the L1s, then
+     * the cores. Each is a lower bound on its component's
+     * nextEventCycle(now()) — for a core, also its Hermes
+     * controller's — and tick() visits a component once it is <= the
+     * new cycle.
+     */
+    const std::vector<Cycle> &wakeSlots() const { return wake_; }
+
+    /**
+     * Enable/disable the wake-time scheduler's skipping (defaults to
+     * on; the HERMES_NO_EVENT_SKIP environment variable disables it at
+     * construction). Off means every component is ticked every cycle
+     * and no idle span is fast-forwarded — the escape hatch the
+     * determinism tests use to prove both produce identical state.
      */
     void setEventSkip(bool enabled) { eventSkip_ = enabled; }
     bool eventSkip() const { return eventSkip_; }
@@ -258,20 +272,17 @@ class System
   private:
     void clearAllStats();
     RunStats collect() const;
-    /** tick() with per-stage host-time attribution (HERMES_PROFILE). */
-    bool tickProfiled();
-    /** Advance every component clock to @p target, emulating the
-     * bookkeeping the skipped idle ticks would have performed. */
-    void skipIdle(Cycle target);
+    /** Bring every core's lazily counted idle cycles up to now(). */
+    void syncCores();
+    /** tick() body; Timed adds per-stage host-time attribution
+     * (HERMES_PROFILE). */
+    template <bool Timed> bool tickStages();
     /** Fast-forward to just before the next event, clamped to
-     * @p limit (the run loop's watchdog bound). */
-    void doSkip(Cycle limit);
-    void
-    maybeSkip(Cycle limit)
-    {
-        if (eventSkip_)
-            doSkip(limit);
-    }
+     * @p limit (the run loop's watchdog bound): only the clock moves. */
+    void skipToHorizon(Cycle limit);
+    /** skipToHorizon() when the event skip is on, timed under
+     * HERMES_PROFILE. */
+    void maybeSkip(Cycle limit);
 
     SystemConfig config_;
     std::vector<std::unique_ptr<Workload>> workloads_;
@@ -283,7 +294,14 @@ class System
     std::vector<std::unique_ptr<OffChipPredictor>> predictors_;
     std::vector<std::unique_ptr<HermesController>> hermes_;
     std::vector<std::unique_ptr<OooCore>> cores_;
-    Cycle now_ = 0;
+    /** The shared clock every component reads (common/wake.hh). */
+    SimClock clock_;
+    /**
+     * One wake slot per component, in tick order: DRAM, LLC, the L2s,
+     * the L1s, then the cores (each covering its Hermes controller).
+     * Sized once at construction: components hold pointers into it.
+     */
+    std::vector<Cycle> wake_;
     std::vector<std::uint64_t> finishCycle_;
     /** Measurement-window start (set at the end of runWarmup). */
     Cycle measureStart_ = 0;
@@ -291,8 +309,9 @@ class System
      * zero after a checkpoint restore, which is the point). */
     std::uint64_t warmupExecuted_ = 0;
     double warmupSeconds_ = 0.0;
-    /** Event-horizon fast-forward enabled (HERMES_NO_EVENT_SKIP=1
-     * disables it; statistics are identical either way). */
+    /** Wake-time scheduling and idle fast-forward enabled
+     * (HERMES_NO_EVENT_SKIP=1 disables both; statistics are identical
+     * either way). */
     bool eventSkip_ = true;
     /** Host-side tick/skip accounting (HostProfile in RunStats). */
     HostProfile profile_;

@@ -232,6 +232,38 @@ class NextLinePf : public Prefetcher
     std::uint64_t storageBits() const override { return 0; }
 };
 
+TEST(CacheWake, EnqueuesLowerTheSlotToTheirDeadline)
+{
+    // Seated in a schedule, the cache stamps enqueues from the shared
+    // clock and lowers its slot to the new entry's deadline; its tick
+    // rewrites the slot with its own bound.
+    CacheHarness h;
+    SimClock clock;
+    Cycle slot = kNoEventCycle;
+    h.cache.attach(&clock, kStageL2, &slot);
+    clock.now = 100;
+    ASSERT_TRUE(h.cache.addRead(loadReq(0x1000)));
+    EXPECT_EQ(slot, 105u);
+    MemRequest wr = loadReq(0x2000);
+    wr.type = AccessType::Writeback;
+    h.cache.addWrite(wr);
+    EXPECT_EQ(slot, 105u);
+    EXPECT_EQ(h.cache.nextEventCycle(100), 105u);
+
+    // Before its turn in a cycle, the cache still reads the previous
+    // cycle, exactly as if it had not been ticked yet.
+    clock.now = 101;
+    clock.stage = kStageLlc;
+    slot = kNoEventCycle;
+    ASSERT_TRUE(h.cache.addRead(loadReq(0x3000)));
+    EXPECT_EQ(slot, 105u);
+    clock.stage = kStageDone;
+
+    clock.now = 105;
+    h.cache.tick(105);
+    EXPECT_EQ(slot, h.cache.nextEventCycle(105));
+}
+
 TEST(Cache, PrefetchFillsAndCountsUseful)
 {
     CacheHarness h;

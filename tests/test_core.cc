@@ -281,5 +281,250 @@ TEST_P(CoreWidthTest, AluIpcTracksWidth)
 INSTANTIATE_TEST_SUITE_P(Widths, CoreWidthTest,
                          ::testing::Values(1u, 2u, 4u, 6u, 8u));
 
+TEST(CoreWake, ReturnDataWakesAndSyncCountsIdleCycles)
+{
+    // A core seated in a schedule: a load's data wakes it (lowering its
+    // slot to the next cycle) and the untouched cycles before it are
+    // charged to the blocked ROB head by sync().
+    std::vector<TraceInstr> script = {load(0x1000)};
+    for (int i = 0; i < 10; ++i)
+        script.push_back(alu());
+    CoreParams p;
+    p.robSize = 8; // fills fast, then waits on the load
+    CoreHarness scheduled(script, p, 100);
+    CoreHarness full(script, p, 100);
+    SimClock clock;
+    Cycle slot = 0;
+    scheduled.core.attach(&clock, kStageCore, &slot);
+    Cycle ticks = 0;
+    for (Cycle now = 1; now <= 150; ++now) {
+        clock.now = now;
+        clock.stage = kStageDram;
+        scheduled.memory.tick(now);
+        clock.stage = kStageCore;
+        if (slot <= now) {
+            scheduled.core.tick(now);
+            ++ticks;
+        }
+        clock.stage = kStageDone;
+        full.run(1);
+    }
+    scheduled.core.sync(clock.now);
+    EXPECT_LT(ticks, 100u); // asleep while the load is in flight
+    EXPECT_EQ(scheduled.core.stats().cycles, full.core.stats().cycles);
+    EXPECT_EQ(scheduled.core.stats().instrsRetired,
+              full.core.stats().instrsRetired);
+    EXPECT_EQ(scheduled.core.stats().stallCyclesOtherLoad +
+                  scheduled.core.stats().stallCyclesOffChip,
+              full.core.stats().stallCyclesOtherLoad +
+                  full.core.stats().stallCyclesOffChip);
+    EXPECT_GT(full.core.stats().stallCyclesOffChip, 0u);
+}
+
+// ---- Checkpoint restore: hand-written CORE sections ----
+//
+// A 4-entry ROB holding seqs 1..3 (slot = seq & 3, slot 0 empty):
+//   seq 1  load  IssuedToMem  waiters: 3
+//   seq 2  load  Ready        (in the ready-load queue)
+//   seq 3  alu   WaitingDep   (waits on seq 1)
+// Each rejection test breaks exactly one rule.
+
+struct CkptEntry
+{
+    InstrId seq = 0;
+    std::uint8_t kind = 0;  ///< InstrKind byte
+    std::uint8_t state = 0; ///< OooCore::State byte (0 Empty .. 4 Done)
+    InstrId firstWaiter = 0;
+    InstrId lastWaiter = 0;
+    InstrId nextWaiter = 0;
+};
+
+struct CkptCore
+{
+    std::vector<CkptEntry> slots; ///< All 4 ROB slots, in slot order
+    InstrId headSeq = 1;
+    InstrId nextSeq = 4;
+    std::uint32_t lqUsed = 2;
+    std::uint32_t sqUsed = 0;
+    std::vector<InstrId> readyLoads{2};
+};
+
+CkptCore
+validCore()
+{
+    CkptCore c;
+    c.slots = {
+        {},                 // slot 0: never used
+        {1, 1, 3, 3, 3, 0}, // load, IssuedToMem
+        {2, 1, 2, 0, 0, 0}, // load, Ready
+        {3, 0, 1, 0, 0, 0}, // alu, WaitingDep
+    };
+    return c;
+}
+
+CoreParams
+ckptCoreParams()
+{
+    CoreParams p;
+    p.robSize = 4;
+    return p;
+}
+
+std::vector<char>
+writeCore(const CkptCore &c)
+{
+    auto instr = [](StateWriter &w, std::uint8_t kind) {
+        w.u64(0x400000); // pc
+        w.u8(kind);
+        w.u64(0x1000); // vaddr
+        w.b(false);    // branchTaken
+        w.u32(0);      // depDistance
+    };
+    test::VectorSink sink;
+    StateWriter w(sink);
+    w.section("CORE");
+    BranchPredictor().saveState(w);
+    w.u64(c.slots.size());
+    for (const CkptEntry &e : c.slots) {
+        instr(w, e.kind);
+        w.u64(e.seq);
+        w.u8(e.state);
+        w.u64(0); // readyAt
+        w.u64(0); // issueAt
+        w.u64(0); // blockedCycles
+        const PredMeta m;
+        for (std::uint32_t idx : m.index)
+            w.u32(idx);
+        w.u8(m.indexCount);
+        w.i16(m.sum);
+        w.b(m.predictedOffChip);
+        w.b(m.valid);
+        w.b(false); // wentOffChip
+        w.b(false); // servedByHermes
+        w.u64(0);   // l1Issue
+        w.u64(0);   // mcArrive
+        w.u64(e.firstWaiter);
+        w.u64(e.lastWaiter);
+        w.u64(e.nextWaiter);
+    }
+    w.u64(c.headSeq);
+    w.u64(c.nextSeq);
+    w.u32(c.lqUsed);
+    w.u32(c.sqUsed);
+    w.u64(c.readyLoads.size());
+    for (InstrId seq : c.readyLoads)
+        w.u64(seq);
+    instr(w, 0); // pendingFetch
+    w.b(false);  // hasPendingFetch
+    w.u64(0);    // fetchResumeAt
+    w.u64(42);   // now
+    w.sealChecksum();
+    return sink.bytes;
+}
+
+void
+loadCore(OooCore &core, const std::vector<char> &bytes)
+{
+    test::VectorSource source(bytes);
+    StateReader r(source);
+    core.loadState(r);
+    r.verifyChecksum();
+}
+
+TEST(CoreCheckpoint, HandWrittenSectionRoundTrips)
+{
+    const std::vector<char> bytes = writeCore(validCore());
+    ScriptedWorkload workload({});
+    FakeMemory memory(40);
+    OooCore core(0, ckptCoreParams(), &workload, &memory, nullptr);
+    loadCore(core, bytes);
+    test::VectorSink again;
+    StateWriter w(again);
+    core.saveState(w);
+    w.sealChecksum();
+    EXPECT_EQ(again.bytes, bytes);
+}
+
+/** Loading @p c must throw a StateError whose message names @p why. */
+void
+expectCoreRejected(const CkptCore &c, const std::string &why)
+{
+    ScriptedWorkload workload({});
+    FakeMemory memory(40);
+    OooCore core(0, ckptCoreParams(), &workload, &memory, nullptr);
+    try {
+        loadCore(core, writeCore(c));
+        ADD_FAILURE() << "accepted; expected rejection for: " << why;
+    } catch (const StateError &e) {
+        EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CoreCheckpoint, RejectsStateByteAboveDone)
+{
+    CkptCore c = validCore();
+    c.slots[3].state = 5;
+    expectCoreRejected(c, "state out of range");
+}
+
+TEST(CoreCheckpoint, RejectsInstructionKindOutOfRange)
+{
+    CkptCore c = validCore();
+    c.slots[0].kind = 4;
+    expectCoreRejected(c, "kind out of range");
+}
+
+TEST(CoreCheckpoint, RejectsHeadAfterTail)
+{
+    CkptCore c = validCore();
+    c.headSeq = 5;
+    expectCoreRejected(c, "head after its tail");
+}
+
+TEST(CoreCheckpoint, RejectsWindowLargerThanRobSize)
+{
+    CkptCore c = validCore();
+    c.nextSeq = 6;
+    expectCoreRejected(c, "window larger than robSize");
+}
+
+TEST(CoreCheckpoint, RejectsLoadQueueCountThatDisagreesWithRob)
+{
+    CkptCore c = validCore();
+    c.lqUsed = 1;
+    expectCoreRejected(c, "lq/sq counters disagree");
+}
+
+TEST(CoreCheckpoint, RejectsStoreQueueCountThatDisagreesWithRob)
+{
+    CkptCore c = validCore();
+    c.sqUsed = 1;
+    expectCoreRejected(c, "lq/sq counters disagree");
+}
+
+TEST(CoreCheckpoint, RejectsReadyLoadOutsideWindow)
+{
+    CkptCore c = validCore();
+    c.readyLoads = {7};
+    expectCoreRejected(c, "ready load outside the rob window");
+}
+
+TEST(CoreCheckpoint, RejectsWaiterLinkLeavingWindow)
+{
+    CkptCore c = validCore();
+    c.slots[1].firstWaiter = 9;
+    c.slots[1].lastWaiter = 9;
+    expectCoreRejected(c, "waiter link leaves the window");
+}
+
+TEST(CoreCheckpoint, RejectsCyclicWaiterChain)
+{
+    // 3 -> 3: wake() would loop forever on this chain.
+    CkptCore c = validCore();
+    c.slots[3].nextWaiter = 3;
+    expectCoreRejected(c, "revisits an entry");
+}
+
 } // namespace
 } // namespace hermes

@@ -189,6 +189,128 @@ TEST(Dram, ChannelInterleavingByLine)
     EXPECT_LE(h.now - start, 130u); // ~one access, fully overlapped
 }
 
+// ---- Wake slot (common/wake.hh) ----------------------------------------
+
+/** A controller seated in a one-component wake-time schedule. */
+struct ScheduledDram
+{
+    explicit ScheduledDram(DramParams p = DramParams{}) : dram(p)
+    {
+        dram.attach(&clock, kStageDram, &slot);
+    }
+
+    /** One cycle: tick only when the slot is due, as System does. */
+    void
+    step()
+    {
+        clock.now += 1;
+        clock.stage = kStageDram;
+        if (slot <= clock.now)
+            dram.tick(clock.now);
+        clock.stage = kStageDone;
+    }
+
+    SimClock clock;
+    Cycle slot = 0;
+    DramController dram;
+};
+
+TEST(DramWake, EnqueuesLowerTheSlotToTheNextCycle)
+{
+    ScheduledDram s;
+    s.clock.now = 100;
+    s.slot = kNoEventCycle;
+    MemRequest wr = loadReq(0x4000);
+    wr.type = AccessType::Writeback;
+    s.dram.addWrite(wr);
+    EXPECT_EQ(s.slot, 101u);
+
+    s.slot = kNoEventCycle;
+    s.dram.addRead(loadReq(0x8000));
+    EXPECT_EQ(s.slot, 101u);
+    EXPECT_EQ(s.dram.nextEventCycle(100), 101u);
+
+    // A merge into the queued read adds no work.
+    s.slot = kNoEventCycle;
+    s.dram.addRead(loadReq(0x8000));
+    EXPECT_EQ(s.slot, kNoEventCycle);
+
+    s.slot = kNoEventCycle;
+    MemRequest h = loadReq(0xC000);
+    h.type = AccessType::Hermes;
+    s.dram.addHermes(h);
+    EXPECT_EQ(s.slot, 101u);
+}
+
+TEST(DramWake, TickRewritesTheSlotWithoutSleepingThroughWork)
+{
+    // After every tick the slot is a lower bound on the controller's
+    // own bound, and an idle controller sleeps.
+    ScheduledDram s;
+    RecordingClient client;
+    s.dram.setClient(0, &client);
+    s.dram.addRead(loadReq(0x10000));
+    s.dram.addRead(loadReq(0x20040));
+    while (client.responses.size() < 2 && s.clock.now < 2000) {
+        s.step();
+        ASSERT_LE(s.slot, s.dram.nextEventCycle(s.clock.now));
+        ASSERT_GT(s.slot, s.clock.now);
+    }
+    EXPECT_EQ(client.responses.size(), 2u);
+    s.step();
+    EXPECT_EQ(s.slot, kNoEventCycle);
+}
+
+/** Answers each read by writing back a line on channel 0. */
+class WritebackClient : public MemClient
+{
+  public:
+    explicit WritebackClient(DramController &dram) : dram_(dram) {}
+
+    void
+    returnData(const MemRequest &req) override
+    {
+        responses.push_back(req);
+        MemRequest wb = loadReq(0x40 * 8); // line 8: channel 0
+        wb.type = AccessType::Writeback;
+        dram_.addWrite(wb);
+    }
+
+    std::vector<MemRequest> responses;
+
+  private:
+    DramController &dram_;
+};
+
+TEST(DramWake, WriteReenteringTheTickOnAPassedChannelKeepsItsWake)
+{
+    // A read on channel 1 completes; its response writes back a line
+    // on channel 0, which this tick has already passed. The write must
+    // still be scheduled next cycle, as a full-tick loop would.
+    DramParams p;
+    p.channels = 2;
+    ScheduledDram s(p);
+    WritebackClient client(s.dram);
+    s.dram.setClient(0, &client);
+    s.dram.addRead(loadReq(0x40 * 9)); // line 9: channel 1
+    while (client.responses.empty() && s.clock.now < 2000)
+        s.step();
+    ASSERT_EQ(client.responses.size(), 1u);
+    EXPECT_EQ(s.slot, s.clock.now + 1);
+    while (s.dram.stats().writes == 0 && s.clock.now < 4000)
+        s.step();
+
+    // The same traffic ticked every cycle finishes the write together.
+    DramController full(p);
+    WritebackClient full_client(full);
+    full.setClient(0, &full_client);
+    full.addRead(loadReq(0x40 * 9));
+    Cycle now = 0;
+    while (full.stats().writes == 0 && now < 4000)
+        full.tick(++now);
+    EXPECT_EQ(s.clock.now, now);
+}
+
 // ---- Hermes datapath at the MC (paper §6.2) --------------------------
 
 TEST(DramHermes, DroppedWhenNoRegularArrives)

@@ -20,6 +20,7 @@
 #include "prefetch/streamer.hh"
 #include "sim/model_registry.hh"
 #include "sim/system.hh"
+#include "test_helpers.hh"
 
 namespace hermes
 {
@@ -277,6 +278,105 @@ TEST(Pythia, PrefetchesStayInPage)
         for (Addr l : out)
             ASSERT_EQ(l / kBlocksPerPage, line / kBlocksPerPage);
     }
+}
+
+// ---- Checkpoint restore: Pythia sections with one spliced EQ entry ----
+
+/** Small Q-tables keep the hand-built sections short. */
+PythiaParams
+ckptPythiaParams()
+{
+    PythiaParams p;
+    p.tableEntries = 8;
+    return p;
+}
+
+/**
+ * A fresh Pythia's section with its (empty) evaluation queue replaced
+ * by one entry (@p phi1, @p phi2, @p action) and its last feature
+ * indexes set to @p last_phi.
+ */
+std::vector<char>
+pythiaSection(std::uint32_t phi1, std::uint32_t phi2, std::uint32_t action,
+              std::uint32_t last_phi = 0)
+{
+    const PythiaParams p = ckptPythiaParams();
+    test::VectorSink fresh;
+    {
+        StateWriter w(fresh);
+        Pythia(p).saveState(w);
+        w.sealChecksum();
+    }
+    const std::vector<char> &b = fresh.bytes;
+    // Tag, RNG state, then two (count, rows x actions x f32) tables.
+    const std::size_t rows =
+        std::size_t{p.tableEntries} * Pythia::kActions.size() * sizeof(float);
+    const std::size_t eq = 8 + 4 + 16 + 2 * (8 + rows);
+    // Tail: ..., lastPhi1 u32, lastPhi2 u32, havePrev, checksum u64.
+    const std::size_t last = b.size() - 8 - 1 - 8;
+
+    test::VectorSink out;
+    StateWriter w(out);
+    for (std::size_t i = 0; i < eq; ++i)
+        w.u8(static_cast<std::uint8_t>(b[i]));
+    w.u64(1);      // EQ entries
+    w.u64(0x1234); // line
+    w.u32(phi1);
+    w.u32(phi2);
+    w.u32(action);
+    w.b(false); // rewarded
+    for (std::size_t i = eq + 8; i < last; ++i)
+        w.u8(static_cast<std::uint8_t>(b[i]));
+    w.u32(last_phi);
+    w.u32(last_phi);
+    w.b(false); // havePrev
+    w.sealChecksum();
+    return out.bytes;
+}
+
+/** Load @p bytes into a fresh Pythia; "" if accepted, else the error. */
+std::string
+loadPythia(const std::vector<char> &bytes)
+{
+    Pythia pythia(ckptPythiaParams());
+    test::VectorSource source(bytes);
+    StateReader r(source);
+    try {
+        pythia.loadState(r);
+        r.verifyChecksum();
+    } catch (const StateError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(PythiaCheckpoint, AcceptsInRangeEqEntry)
+{
+    EXPECT_EQ(loadPythia(pythiaSection(7, 7, 15, 7)), "");
+}
+
+TEST(PythiaCheckpoint, RejectsEqPhi1OutOfRange)
+{
+    EXPECT_NE(loadPythia(pythiaSection(8, 0, 0)).find("eq phi1"),
+              std::string::npos);
+}
+
+TEST(PythiaCheckpoint, RejectsEqPhi2OutOfRange)
+{
+    EXPECT_NE(loadPythia(pythiaSection(0, 8, 0)).find("eq phi2"),
+              std::string::npos);
+}
+
+TEST(PythiaCheckpoint, RejectsEqActionOutOfRange)
+{
+    EXPECT_NE(loadPythia(pythiaSection(0, 0, 16)).find("eq action"),
+              std::string::npos);
+}
+
+TEST(PythiaCheckpoint, RejectsLastFeatureIndexOutOfRange)
+{
+    EXPECT_NE(loadPythia(pythiaSection(0, 0, 0, 8)).find("last feature"),
+              std::string::npos);
 }
 
 /** A prefetcher built by the registry, as System builds it. */
