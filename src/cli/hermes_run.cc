@@ -355,9 +355,9 @@ main(int argc, char **argv)
                     (opt.label.empty() ? "" : "+") + t.name();
         }
 
-        // The same scenario described to hermes_sweep (or a server
-        // spec) must hash identically, so mirror its grid-point shape:
-        // a single trace replicates across every core.
+        // The same scenario described to hermes_sweep must hash
+        // identically, so mirror its grid-point shape: a single trace
+        // replicates across every core.
         sweep::GridPoint point;
         point.label = opt.label;
         point.config = cfg;

@@ -303,11 +303,17 @@ void
 Popet::loadState(StateReader &r)
 {
     r.section("POPT");
+    const int wmax = (1 << (params_.weightBits - 1)) - 1;
+    const int wmin = -(1 << (params_.weightBits - 1));
     for (unsigned f = 0; f < kPopetFeatureCount; ++f) {
         if (r.u64() != kTableSizes[f])
             throw StateError("popet weight table size mismatch");
-        for (std::uint32_t i = 0; i < kTableSizes[f]; ++i)
-            arena_[kBases[f] + i] = r.i8();
+        for (std::uint32_t i = 0; i < kTableSizes[f]; ++i) {
+            const std::int8_t w = r.i8();
+            if (w < wmin || w > wmax)
+                throw StateError("popet weight out of range");
+            arena_[kBases[f] + i] = w;
+        }
     }
     if (r.u64() != pageBuffer_.size())
         throw StateError("popet page buffer size mismatch");
@@ -320,17 +326,24 @@ Popet::loadState(StateReader &r)
     pageBufferClock_ = r.u64();
     for (Addr &pc : lastLoadPcs_)
         pc = r.u64();
+    if (pageInvalidLeft_ > pageBuffer_.size())
+        throw StateError("popet invalid page count exceeds the buffer");
     // Valid slots fill in ascending index order (see the
     // pageInvalidLeft_ comment in the header), so the occupied prefix
     // is exactly the content to rebuild the page index from; the
     // recency list is rebuilt by linking those slots in lastUse order
-    // (unique strictly-increasing clock values).
+    // (unique clock values no later than the clock).
     pageIndex_.clear();
     const std::size_t used =
         pageBuffer_.size() - static_cast<std::size_t>(pageInvalidLeft_);
-    for (std::size_t i = 0; i < used; ++i)
+    for (std::size_t i = 0; i < used; ++i) {
+        if (pageIndex_.contains(pageBuffer_[i].pageTag))
+            throw StateError("popet page buffer holds a page twice");
+        if (pageBuffer_[i].lastUse > pageBufferClock_)
+            throw StateError("popet page lastUse is ahead of the clock");
         pageIndex_.insert(pageBuffer_[i].pageTag,
                           static_cast<std::uint32_t>(i));
+    }
     lruHead_ = lruTail_ = kLruNil;
     lruPrev_.assign(pageBuffer_.size(), kLruNil);
     lruNext_.assign(pageBuffer_.size(), kLruNil);
@@ -341,6 +354,10 @@ Popet::loadState(StateReader &r)
               [this](std::uint32_t a, std::uint32_t b) {
                   return pageBuffer_[a].lastUse < pageBuffer_[b].lastUse;
               });
+    for (std::size_t k = 1; k < used; ++k)
+        if (pageBuffer_[order[k - 1]].lastUse ==
+            pageBuffer_[order[k]].lastUse)
+            throw StateError("popet page lastUse values repeat");
     for (std::uint32_t slot : order)
         lruAppend(slot);
 }

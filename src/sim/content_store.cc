@@ -1,14 +1,19 @@
 #include "sim/content_store.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstring>
 #include <dirent.h>
 #include <fcntl.h>
 #include <stdexcept>
 #include <sys/stat.h>
+#include <thread>
 #include <tuple>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -57,6 +62,43 @@ scanEntries(const ContentStore &store, const std::string &suffix)
     }
     closedir(d);
     return out;
+}
+
+/** How often a waiter re-checks a claim another process holds. */
+constexpr auto kClaimPoll = std::chrono::milliseconds(10);
+
+std::string
+claimPath(const ContentStore &store, std::uint64_t key)
+{
+    return store.entryPath(key) + ".claim";
+}
+
+/**
+ * Called after link() found @p path taken: true when the caller should
+ * retry, i.e. the claim vanished or was stale and is now unlinked. A
+ * claim is stale when its pid is gone (kill reports ESRCH) or when it
+ * does not parse; claims are single-host, so pids name processes.
+ */
+bool
+breakStaleClaim(const std::string &path)
+{
+    const int fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return errno == ENOENT;
+    char buf[24] = {};
+    const ssize_t n = read(fd, buf, sizeof buf);
+    close(fd);
+    long pid = 0;
+    bool parsed = n >= 2 && buf[n - 1] == '\n';
+    for (ssize_t i = 0; parsed && i + 1 < n; ++i) {
+        parsed = buf[i] >= '0' && buf[i] <= '9' && pid < 100000000;
+        pid = pid * 10 + (buf[i] - '0');
+    }
+    if (parsed && pid > 0 &&
+        !(kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH))
+        return false;
+    static_cast<void>(unlink(path.c_str()));
+    return true;
 }
 
 } // namespace
@@ -187,6 +229,111 @@ ContentStore::store(std::uint64_t key, const Write &write)
     std::lock_guard<std::mutex> g(mutex_);
     ++stats_.stores;
     evictToBudgetLocked();
+}
+
+ContentStore::Claim &
+ContentStore::Claim::operator=(Claim &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        store_ = std::exchange(other.store_, nullptr);
+        key_ = other.key_;
+    }
+    return *this;
+}
+
+void
+ContentStore::Claim::release()
+{
+    if (store_ == nullptr)
+        return;
+    ContentStore *store = std::exchange(store_, nullptr);
+    static_cast<void>(unlink(claimPath(*store, key_).c_str()));
+    store->unreserve(key_);
+}
+
+void
+ContentStore::unreserve(std::uint64_t key)
+{
+    {
+        std::lock_guard<std::mutex> g(mutex_);
+        held_.erase(key);
+    }
+    released_.notify_all();
+}
+
+bool
+ContentStore::claimFile(std::uint64_t key) const
+{
+    static std::atomic<unsigned> tmp_counter{0};
+    const std::string path = claimPath(*this, key);
+    const std::string pid = std::to_string(getpid());
+    const std::string tmp =
+        path + "." + pid + "." + std::to_string(tmp_counter++);
+    // Write the pid into a private temp and link(2) it into place, so
+    // the claim appears complete or not at all: a reader never sees an
+    // empty claim and mistakes it for garbage. Where no claim can be
+    // made (no write access, no hard links) the caller runs unclaimed;
+    // claims are advisory, so that costs duplicates, never a wrong
+    // result.
+    const int fd =
+        open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd < 0)
+        return true;
+    const std::string text = pid + "\n";
+    bool won = write(fd, text.data(), text.size()) !=
+               static_cast<ssize_t>(text.size());
+    close(fd);
+    // A few rounds bound the loop when stale claims keep reappearing;
+    // the caller polls again anyway.
+    for (int round = 0; !won && round < 3; ++round) {
+        if (link(tmp.c_str(), path.c_str()) == 0 || errno != EEXIST)
+            won = true;
+        else if (!breakStaleClaim(path))
+            break;
+    }
+    static_cast<void>(unlink(tmp.c_str()));
+    return won;
+}
+
+ContentStore::Claim
+ContentStore::acquire(std::uint64_t key, bool wait)
+{
+    {
+        std::unique_lock<std::mutex> g(mutex_);
+        if (wait)
+            released_.wait(g, [&] { return held_.count(key) == 0; });
+        if (!held_.insert(key).second)
+            return {};
+    }
+    while (!claimFile(key)) {
+        if (!wait) {
+            unreserve(key);
+            return {};
+        }
+        std::this_thread::sleep_for(kClaimPoll);
+    }
+    Claim c;
+    c.store_ = this;
+    c.key_ = key;
+    return c;
+}
+
+ContentStore::Claim
+ContentStore::tryClaim(std::uint64_t key)
+{
+    Claim c = acquire(key, false);
+    // Published between the caller's miss and this claim: there is
+    // nothing left to produce.
+    if (c && access(entryPath(key).c_str(), F_OK) == 0)
+        c.release();
+    return c;
+}
+
+ContentStore::Claim
+ContentStore::claim(std::uint64_t key)
+{
+    return acquire(key, true);
 }
 
 std::size_t

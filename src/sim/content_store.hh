@@ -7,16 +7,19 @@
  * key to one file "<hex16><suffix>". The typed caches own only their
  * entry bytes; this owns the shared contract (docs/result-cache.md):
  * the DIR[,max_bytes=SIZE][,max_entries=N] spec, first-writer-wins
- * atomic publish through trace_io's sink, verify-or-unlink loads, and
- * mtime LRU eviction. Verify callbacks and publishes run outside the
- * lock, which guards only the counters and eviction.
+ * atomic publish through trace_io's sink, verify-or-unlink loads,
+ * mtime LRU eviction, and per-key in-flight claims. Verify callbacks,
+ * publishes and claim-file I/O run outside the lock, which guards only
+ * the counters, eviction and the set of keys this instance holds.
  */
 
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 
 namespace hermes
@@ -62,6 +65,30 @@ class ContentStore
     /** Streams an entry's bytes. */
     using Write = std::function<void(ByteSink &)>;
 
+    /**
+     * The in-flight claim on one key: the file "<entry>.claim" holding
+     * the owner's pid, plus this instance's record of the key.
+     * Releases on destruction; an empty Claim holds nothing.
+     */
+    class Claim
+    {
+      public:
+        Claim() = default;
+        Claim(Claim &&other) noexcept { *this = std::move(other); }
+        Claim &operator=(Claim &&other) noexcept;
+        ~Claim() { release(); }
+
+        explicit operator bool() const { return store_ != nullptr; }
+
+        /** Unlink the claim file and wake waiters (idempotent). */
+        void release();
+
+      private:
+        friend class ContentStore;
+        ContentStore *store_ = nullptr;
+        std::uint64_t key_ = 0;
+    };
+
     /** Opens (mkdir -p) the directory. Throws std::runtime_error. */
     ContentStore(StoreSpec spec, std::string suffix, std::string kind);
 
@@ -77,6 +104,23 @@ class ContentStore
     /** Publish @p key unless present, then evict past the budget. */
     void store(std::uint64_t key, const Write &write);
 
+    /**
+     * Claim @p key without blocking. Empty when a thread of this
+     * instance or a live process holds it, or when its entry is
+     * already published; a stale claim (dead pid, unparsable file) is
+     * broken first. Publish, then release: a caller that waits in
+     * claim() then finds the entry.
+     */
+    Claim tryClaim(std::uint64_t key);
+
+    /**
+     * Block until @p key's claim is ours: threads of this instance wait
+     * on a condition variable, other processes' claims are polled. The
+     * entry may have been published meanwhile; load() it before
+     * producing it.
+     */
+    Claim claim(std::uint64_t key);
+
     std::string entryPath(std::uint64_t key) const;
 
     /** Live count of entries (rescans the directory). */
@@ -90,12 +134,24 @@ class ContentStore
 
   private:
     void evictToBudgetLocked();
+    /**
+     * Reserve @p key in held_, then create its claim file; with
+     * @p wait, wait out this instance's threads and poll other
+     * processes' claims instead of giving up.
+     */
+    Claim acquire(std::uint64_t key, bool wait);
+    void unreserve(std::uint64_t key);
+    /** Create the claim file, breaking a stale one; false if held. */
+    bool claimFile(std::uint64_t key) const;
 
     const StoreSpec spec_;
     const std::string suffix_;
     const std::string kind_;
     mutable std::mutex mutex_;
     StoreStats stats_;
+    /** Keys claimed through this instance; released_ signals erasure. */
+    std::set<std::uint64_t> held_;
+    std::condition_variable released_;
 };
 
 /**

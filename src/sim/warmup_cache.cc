@@ -5,20 +5,6 @@
 namespace hermes
 {
 
-std::unique_lock<std::mutex>
-WarmupCache::lockFingerprint(std::uint64_t fp)
-{
-    std::mutex *m = nullptr;
-    {
-        std::lock_guard<std::mutex> g(fpLocksMutex_);
-        auto &slot = fpLocks_[fp];
-        if (slot == nullptr)
-            slot = std::make_unique<std::mutex>();
-        m = slot.get();
-    }
-    return std::unique_lock<std::mutex>(*m);
-}
-
 bool
 WarmupCache::load(SimSession &session)
 {
@@ -41,9 +27,9 @@ runSession(SimSession &session, WarmupCache *cache)
 {
     session.build();
     if (cache != nullptr && session.checkpointable()) {
-        // Per-fingerprint serialization: of N threads racing to the
-        // same warmed state, one warms and stores, the rest restore.
-        auto guard = cache->lockFingerprint(session.warmupFingerprint());
+        // Of N threads or processes racing to the same warmed state,
+        // one warms and stores, the rest restore.
+        auto claim = cache->lockFingerprint(session.warmupFingerprint());
         if (!cache->load(session)) {
             session.warmup();
             cache->store(session);

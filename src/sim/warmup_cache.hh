@@ -29,9 +29,6 @@
  */
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "sim/content_store.hh"
@@ -78,12 +75,15 @@ class WarmupCache
     void store(SimSession &session);
 
     /**
-     * Serialize threads warming the same identity: the returned lock
-     * holds a per-fingerprint mutex, so within one process a shared
-     * warmup really runs once and the rest restore its checkpoint.
-     * Distinct fingerprints proceed in parallel.
+     * Block until this caller holds the in-flight claim on warmup
+     * identity @p fp (ContentStore::claim), so threads and processes
+     * sharing the store warm each identity once and the rest restore
+     * its checkpoint. Distinct fingerprints proceed in parallel.
      */
-    std::unique_lock<std::mutex> lockFingerprint(std::uint64_t fp);
+    ContentStore::Claim lockFingerprint(std::uint64_t fp)
+    {
+        return store_.claim(fp);
+    }
 
     const std::string &dir() const { return store_.dir(); }
     WarmupCacheStats stats() const { return store_.stats(); }
@@ -100,9 +100,6 @@ class WarmupCache
 
   private:
     ContentStore store_;
-    std::mutex fpLocksMutex_;
-    /** Never erased; bounded by the distinct identities of one run. */
-    std::map<std::uint64_t, std::unique_ptr<std::mutex>> fpLocks_;
 };
 
 /**

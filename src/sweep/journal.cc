@@ -914,24 +914,38 @@ runJournaled(const SweepOptions &engine_opts,
         }
     }
 
-    // Consult the store for every point this run would simulate. Hits
-    // are journaled like any completion (so a journal stays a full
-    // record of its grid) and re-verified by the cache on load, which
-    // keeps cached and simulated runs byte-identical downstream.
+    // A store hit is journaled like any completion (so a journal stays
+    // a full record of its grid) and re-verified by the cache on load,
+    // which keeps cached and simulated runs byte-identical downstream.
+    auto record_hit = [&](std::size_t i, PointResult hit) {
+        hit.index = i;
+        out.results[i] = std::move(hit);
+        out.present[i] = true;
+        skip[i] = true;
+        ++out.cached;
+        if (opts.journal != nullptr)
+            opts.journal->append(out.results[i]);
+    };
+
+    // Consult the store for every point this run would simulate, then
+    // claim each miss. A point another thread or live process has
+    // claimed is deferred until the engine returns, so concurrent
+    // sweeps on one store simulate each point once.
+    std::vector<ContentStore::Claim> claims(opts.cache != nullptr ? n : 0);
+    std::vector<std::size_t> deferred;
     if (opts.cache != nullptr) {
         for (std::size_t i = 0; i < n; ++i) {
             if (skip[i])
                 continue;
-            auto hit = opts.cache->load(grid[i]);
-            if (!hit)
+            if (auto hit = opts.cache->load(grid[i])) {
+                record_hit(i, std::move(*hit));
                 continue;
-            hit->index = i;
-            out.results[i] = std::move(*hit);
-            out.present[i] = true;
-            skip[i] = true;
-            ++out.cached;
-            if (opts.journal != nullptr)
-                opts.journal->append(out.results[i]);
+            }
+            claims[i] = opts.cache->tryClaim(grid[i]);
+            if (!claims[i]) {
+                skip[i] = true;
+                deferred.push_back(i);
+            }
         }
     }
 
@@ -942,29 +956,52 @@ runJournaled(const SweepOptions &engine_opts,
         ProgressFn user = engine_opts.onProgress;
         // The engine invokes progress under one lock as each point
         // finishes; journaling and cache publication there make
-        // completion and persistence a single step.
-        eopts.onProgress = [writer, cache, &grid,
+        // completion and persistence a single step. The claim goes
+        // last, so a waiter that takes it finds the entry.
+        eopts.onProgress = [writer, cache, &grid, &claims,
                             user](std::size_t done, std::size_t total,
                                   const PointResult &r) {
             if (writer != nullptr)
                 writer->append(r);
-            if (cache != nullptr && r.ok)
-                cache->store(grid[r.index], r);
+            if (cache != nullptr) {
+                if (r.ok)
+                    cache->store(grid[r.index], r);
+                claims[r.index].release();
+            }
             if (user)
                 user(done, total, r);
         };
     }
 
-    const auto run = SweepEngine(eopts).run(grid, skip);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (skip[i])
-            continue;
-        out.results[i] = run[i];
-        if (run[i].ok) {
-            out.present[i] = true;
-            ++out.simulated;
+    auto simulate = [&](const std::vector<bool> &mask) {
+        const auto run = SweepEngine(eopts).run(grid, mask);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (mask[i])
+                continue;
+            out.results[i] = run[i];
+            if (run[i].ok) {
+                out.present[i] = true;
+                ++out.simulated;
+            }
         }
+    };
+    simulate(skip);
+
+    // Each deferred point's holder publishes before it releases, so the
+    // entry is normally there once the claim is ours. It is missing
+    // only when the holder failed or died; then this run simulates it.
+    for (std::size_t i : deferred) {
+        claims[i] = opts.cache->claim(grid[i]);
+        if (auto hit = opts.cache->load(grid[i])) {
+            claims[i].release();
+            record_hit(i, std::move(*hit));
+            continue;
+        }
+        std::vector<bool> only(n, true);
+        only[i] = false;
+        simulate(only);
     }
+
     if (opts.journal != nullptr)
         opts.journal->canonicalize();
     return out;

@@ -88,7 +88,7 @@ std::string encodeJournalRecord(const JournalRecord &rec);
 /**
  * Parse + verify one record line: the decoded stats must reproduce the
  * recorded "fp" fingerprint. Throws std::runtime_error on any defect.
- * Shared by the journal loader, the result cache and the sweep server.
+ * Shared by the journal loader and the result cache.
  */
 JournalRecord decodeJournalRecord(const std::string &line);
 
@@ -200,7 +200,10 @@ struct OrchestrateOptions
      * it already holds are loaded instead of simulated (and journaled
      * like any other completion); every point that does simulate — or
      * arrives via resume — is stored back, so overlapping grids and
-     * later runs share the work. May be nullptr.
+     * later runs share the work. Each simulated point is claimed in
+     * the store first, and a point another process holds is waited
+     * for and loaded, so concurrent runs never simulate one point
+     * twice. May be nullptr.
      */
     ResultCache *cache = nullptr;
 };

@@ -26,18 +26,7 @@ entryHeader(std::uint64_t point_fp)
 std::optional<PointResult>
 ResultCache::load(const GridPoint &point)
 {
-    return loadEntry(pointFingerprint(point), &point);
-}
-
-std::optional<PointResult>
-ResultCache::loadByFp(std::uint64_t point_fp)
-{
-    return loadEntry(point_fp, nullptr);
-}
-
-std::optional<PointResult>
-ResultCache::loadEntry(std::uint64_t point_fp, const GridPoint *point)
-{
+    const std::uint64_t point_fp = pointFingerprint(point);
     std::optional<PointResult> out;
     store_.load(point_fp, [&](const std::string &path) {
         std::ifstream in(path, std::ios::binary);
@@ -58,7 +47,7 @@ ResultCache::loadEntry(std::uint64_t point_fp, const GridPoint *point)
             decodeJournalRecord(text.substr(nl1 + 1, nl2 - nl1 - 1));
         if (rec.pointFp != point_fp)
             store_.fail("record point fingerprint mismatch");
-        if (point != nullptr && rec.result.label != point->label)
+        if (rec.result.label != point.label)
             store_.fail("label mismatch");
         rec.result.index = 0;
         rec.result.ok = true;

@@ -73,18 +73,27 @@ class ResultCache
     std::optional<PointResult> load(const GridPoint &point);
 
     /**
-     * Look a point up by fingerprint alone (the server's poll path,
-     * where only the job id survives a restart). Same verification
-     * minus the caller-side label cross-check.
-     */
-    std::optional<PointResult> loadByFp(std::uint64_t point_fp);
-
-    /**
      * Persist @p r under @p point's fingerprint (atomic publish, then
      * eviction past the budget). Failed results (!r.ok) and
      * already-present points are skipped.
      */
     void store(const GridPoint &point, const PointResult &r);
+
+    /**
+     * The in-flight claim on @p point (ContentStore::tryClaim): empty
+     * when another thread or live process is simulating it, or when it
+     * is already stored.
+     */
+    ContentStore::Claim tryClaim(const GridPoint &point)
+    {
+        return store_.tryClaim(pointFingerprint(point));
+    }
+
+    /** Block until @p point's claim is ours (ContentStore::claim). */
+    ContentStore::Claim claim(const GridPoint &point)
+    {
+        return store_.claim(pointFingerprint(point));
+    }
 
     const std::string &dir() const { return store_.dir(); }
     ResultCacheStats stats() const { return store_.stats(); }
@@ -100,9 +109,6 @@ class ResultCache
     }
 
   private:
-    std::optional<PointResult> loadEntry(std::uint64_t point_fp,
-                                         const GridPoint *point);
-
     ContentStore store_;
 };
 

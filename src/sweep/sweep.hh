@@ -41,8 +41,8 @@ struct GridPoint
 };
 
 /**
- * Simulate one grid point: the single run path of SweepEngine and the
- * --serve workers. Unlike simulate(), a lone trace is not replicated:
+ * Simulate one grid point: the SweepEngine's single run path. Unlike
+ * simulate(), a lone trace is not replicated:
  * a trace count other than config.numCores throws
  * std::invalid_argument. Points whose warmup identity is in
  * @p warmup_cache (may be nullptr) restore instead of warming.
@@ -110,9 +110,9 @@ struct SweepOptions
      * Warmup checkpoint store (sim/warmup_cache.hh). Points whose
      * warmup identity is already present restore the warmed state
      * instead of re-executing the warmup window; each distinct
-     * identity warms exactly once per store (per-fingerprint locks
-     * cover the in-process workers, first-writer-wins covers
-     * processes). Stats are unaffected either way. May be nullptr.
+     * identity warms exactly once per store, across threads and
+     * processes alike (the store's per-key claim). Stats are
+     * unaffected either way. May be nullptr.
      */
     WarmupCache *warmupCache = nullptr;
 };

@@ -8,7 +8,7 @@
  * instantiates a half-GB pointer chase on the spot.
  *
  * Grammar (':'-separated so specs compose with the comma-separated
- * trace lists and the sweep server's ';'-separated point specs):
+ * trace lists):
  *
  *   corpus.<generator>[:<knob>=<value>]...
  *

@@ -304,8 +304,8 @@ class XzSource final : public ByteSource
 // ---------------------------------------------------------------------
 
 /**
- * The one atomic-publish path (traces, store entries, journal and
- * queue rewrites): a temporary next to the destination that commit()
+ * The one atomic-publish path (traces, store entries, journal
+ * rewrites): a temporary next to the destination that commit()
  * fsyncs and renames into place. The temporary is named by pid plus a
  * per-process counter, so concurrent writers of one destination —
  * threads or processes — never share it.

@@ -3,14 +3,18 @@
 // warmup checkpoint cache): the spec grammar, first-writer-wins
 // publish, LRU eviction by entries and by bytes in mtime-then-name
 // order, tmp and stranger files staying invisible, reject-and-unlink of
-// entries failing verification, and concurrent stores of one key.
+// entries failing verification, concurrent stores of one key, and the
+// per-key in-flight claim (held, released, broken when stale).
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -105,6 +109,12 @@ class ContentStoreTest : public ::testing::TestWithParam<StoreKind>
     {
         const timespec ts[2] = {{seconds, 0}, {seconds, 0}};
         ASSERT_EQ(utimensat(AT_FDCWD, entry(key).c_str(), ts, 0), 0);
+    }
+
+    std::string
+    claimFile(std::uint64_t key) const
+    {
+        return entry(key) + ".claim";
     }
 
     std::string dir_;
@@ -333,6 +343,99 @@ TEST_P(ContentStoreTest, ConcurrentStoresOfOneKeyLeaveOneIntactEntry)
     }
     EXPECT_EQ(files, 1u);
     EXPECT_TRUE(store.load(42, holds(payload)));
+}
+
+TEST_P(ContentStoreTest, ClaimIsHeldUntilReleased)
+{
+    ContentStore store = open();
+    ContentStore other = open(); // another holder on the same directory
+    ContentStore::Claim held = store.tryClaim(5);
+    ASSERT_TRUE(held);
+    EXPECT_EQ(slurp(claimFile(5)), std::to_string(getpid()) + "\n");
+    // Taken in this instance, and by a live pid for anyone else.
+    EXPECT_FALSE(store.tryClaim(5));
+    EXPECT_FALSE(other.tryClaim(5));
+    EXPECT_TRUE(store.tryClaim(6)); // other keys are independent
+
+    // A thread blocking in claim() wakes once the holder releases.
+    std::atomic<bool> got{false};
+    std::thread waiter([&] {
+        ContentStore::Claim c = store.claim(5);
+        got = static_cast<bool>(c);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(got.load());
+    store.store(5, bytes("five"));
+    held.release();
+    waiter.join();
+    EXPECT_TRUE(got.load());
+    EXPECT_FALSE(fs::exists(claimFile(5)));
+
+    // A published entry leaves nothing to claim.
+    EXPECT_FALSE(other.tryClaim(5));
+    EXPECT_FALSE(fs::exists(claimFile(5)));
+}
+
+TEST_P(ContentStoreTest, ClaimOfAReapedPidIsBroken)
+{
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0)
+        _exit(0);
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ensureDirectory(dir_);
+    spit(claimFile(3), std::to_string(child) + "\n");
+
+    ContentStore store = open();
+    ContentStore::Claim c = store.tryClaim(3);
+    ASSERT_TRUE(c);
+    EXPECT_EQ(slurp(claimFile(3)), std::to_string(getpid()) + "\n");
+    c.release();
+    EXPECT_FALSE(fs::exists(claimFile(3)));
+}
+
+TEST_P(ContentStoreTest, GarbageClaimIsBroken)
+{
+    ensureDirectory(dir_);
+    const std::string garbage[] = {"", "\n", "12ab\n", "0\n", "-4\n",
+                                   "123", std::string(64, '7') + "\n"};
+    ContentStore store = open();
+    for (const std::string &text : garbage) {
+        spit(claimFile(8), text);
+        ContentStore::Claim c = store.tryClaim(8);
+        EXPECT_TRUE(c) << '"' << text << '"';
+        EXPECT_EQ(slurp(claimFile(8)), std::to_string(getpid()) + "\n");
+    }
+    // Blocking claims break garbage too.
+    spit(claimFile(8), "garbage");
+    EXPECT_TRUE(store.claim(8));
+}
+
+TEST_P(ContentStoreTest, ClaimFilesAreInvisibleToCountAndEviction)
+{
+    ContentStore store = open(0, 2);
+    std::vector<ContentStore::Claim> claims;
+    for (std::uint64_t key = 1; key <= 3; ++key) {
+        claims.push_back(store.tryClaim(key));
+        ASSERT_TRUE(claims.back());
+    }
+    EXPECT_EQ(store.entryCount(), 0u);
+    store.store(1, bytes("x"));
+    store.store(2, bytes("x"));
+    EXPECT_EQ(store.entryCount(), 2u);
+    EXPECT_EQ(store.stats().evicted, 0u);
+    setMtime(1, 1000);
+    store.store(3, bytes("x"));
+    // Only the oldest entry goes; every claim file stays.
+    EXPECT_EQ(store.stats().evicted, 1u);
+    EXPECT_EQ(store.entryCount(), 2u);
+    EXPECT_FALSE(fs::exists(entry(1)));
+    for (std::uint64_t key = 1; key <= 3; ++key)
+        EXPECT_TRUE(fs::exists(claimFile(key))) << key;
+    claims.clear();
+    for (std::uint64_t key = 1; key <= 3; ++key)
+        EXPECT_FALSE(fs::exists(claimFile(key))) << key;
 }
 
 INSTANTIATE_TEST_SUITE_P(

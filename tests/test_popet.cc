@@ -1,16 +1,26 @@
 // Tests for POPET: hashed-perceptron prediction/training mechanics, the
 // page buffer first-access hint, threshold semantics, feature ablation
-// plumbing, storage accounting and weight-boundedness properties.
+// plumbing, storage accounting, weight-boundedness properties and
+// checkpoint restore checks.
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "common/rng.hh"
+#include "common/state_io.hh"
 #include "predictor/popet.hh"
+#include "test_helpers.hh"
 
 namespace hermes
 {
 namespace
 {
+
+using test::VectorSink;
+using test::VectorSource;
 
 TEST(Popet, UntrainedPredictsOffChipAtDefaultThreshold)
 {
@@ -243,6 +253,150 @@ TEST_P(PopetMaskTest, MaskedPredictorOperates)
 INSTANTIATE_TEST_SUITE_P(Masks, PopetMaskTest,
                          ::testing::Values(0x1u, 0x2u, 0x4u, 0x8u, 0x10u,
                                            0x3u, 0x7u, 0xFu, 0x1Fu));
+
+// ---- Checkpoint hardening -------------------------------------------
+//
+// loadState() checks the page buffer and weights it reads before using
+// them. Each test hand-writes a POPT section with StateWriter, breaking
+// exactly one rule, and requires a StateError (never a crash: these
+// run under ASan/UBSan in CI).
+
+/** One page-buffer slot as the section stores it. */
+struct CkptPage
+{
+    Addr tag = 0;
+    std::uint64_t bitmap = 0;
+    std::uint64_t lastUse = 0;
+};
+
+/** A POPT section for the default 64-entry, 5-bit-weight POPET. */
+struct CkptSection
+{
+    std::vector<std::int8_t> weights = std::vector<std::int8_t>(
+        std::accumulate(Popet::kTableSizes.begin(),
+                        Popet::kTableSizes.end(), std::size_t{0}));
+    std::vector<CkptPage> pages = std::vector<CkptPage>(64);
+    std::uint32_t invalidLeft = 64;
+    std::uint64_t clock = 0;
+};
+
+std::vector<char>
+writeSection(const CkptSection &c)
+{
+    VectorSink sink;
+    StateWriter w(sink);
+    w.section("POPT");
+    std::size_t k = 0;
+    for (std::uint32_t size : Popet::kTableSizes) {
+        w.u64(size);
+        for (std::uint32_t i = 0; i < size; ++i)
+            w.i8(c.weights[k++]);
+    }
+    w.u64(c.pages.size());
+    for (const CkptPage &p : c.pages) {
+        w.u64(p.tag);
+        w.u64(p.bitmap);
+        w.u64(p.lastUse);
+    }
+    w.u32(c.invalidLeft);
+    w.u64(c.clock);
+    for (Addr pc : {0x400100, 0x400200, 0x400300, 0x400400})
+        w.u64(pc);
+    w.sealChecksum();
+    return sink.bytes;
+}
+
+void
+loadSection(Popet &popet, const std::vector<char> &bytes)
+{
+    VectorSource source(bytes);
+    StateReader r(source);
+    popet.loadState(r);
+    r.verifyChecksum();
+}
+
+/** Three occupied slots touched out of slot order, weights at both
+ * ends of the 5-bit range, and zeroed (duplicate) invalid slots. */
+CkptSection
+validSection()
+{
+    CkptSection c;
+    c.pages[0] = {0x10, 0x1, 5};
+    c.pages[1] = {0x11, 0x6, 2};
+    c.pages[2] = {0x12, 0x8, 9};
+    c.invalidLeft = 61;
+    c.clock = 9;
+    c.weights[0] = 15;
+    c.weights[1] = -16;
+    c.weights[4000] = -3;
+    return c;
+}
+
+TEST(PopetCheckpoint, HandWrittenSectionRoundTrips)
+{
+    const std::vector<char> bytes = writeSection(validSection());
+    Popet popet;
+    loadSection(popet, bytes);
+    VectorSink again;
+    StateWriter w(again);
+    popet.saveState(w);
+    w.sealChecksum();
+    EXPECT_EQ(again.bytes, bytes);
+}
+
+/** Loading @p c must throw a StateError whose message names @p why. */
+void
+expectRejected(const CkptSection &c, const std::string &why)
+{
+    Popet popet;
+    try {
+        loadSection(popet, writeSection(c));
+        ADD_FAILURE() << "accepted; expected rejection for: " << why;
+    } catch (const StateError &e) {
+        EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PopetCheckpoint, RejectsInvalidCountAboveBufferSize)
+{
+    CkptSection c = validSection();
+    c.invalidLeft = 65;
+    expectRejected(c, "invalid page count exceeds the buffer");
+    c.invalidLeft = 0xFFFFFFFFu;
+    expectRejected(c, "invalid page count exceeds the buffer");
+}
+
+TEST(PopetCheckpoint, RejectsDuplicatePageTag)
+{
+    CkptSection c = validSection();
+    c.pages[2].tag = c.pages[0].tag;
+    expectRejected(c, "holds a page twice");
+}
+
+TEST(PopetCheckpoint, RejectsRepeatedLastUse)
+{
+    CkptSection c = validSection();
+    c.pages[2].lastUse = c.pages[0].lastUse;
+    expectRejected(c, "lastUse values repeat");
+}
+
+TEST(PopetCheckpoint, RejectsLastUseAheadOfClock)
+{
+    CkptSection c = validSection();
+    c.pages[1].lastUse = c.clock + 1;
+    expectRejected(c, "lastUse is ahead of the clock");
+}
+
+TEST(PopetCheckpoint, RejectsWeightOutOfRange)
+{
+    CkptSection c = validSection();
+    c.weights[1] = -17;
+    expectRejected(c, "weight out of range");
+    c = validSection();
+    c.weights[4000] = 16;
+    expectRejected(c, "weight out of range");
+}
 
 } // namespace
 } // namespace hermes

@@ -1,21 +1,27 @@
 // Tests for the content-addressed result store: cold/warm determinism
 // (a second run simulates nothing and reproduces every byte), thread
 // count invariance of journals and dumps, corrupt entry rejection +
-// re-simulation, concurrent shards sharing one store and LRU
-// eviction. The store primitive and its spec grammar are covered by
-// test_content_store.
+// re-simulation, concurrent shards sharing one store, LRU eviction,
+// and in-flight claims across processes (forked children sweeping or
+// warming against one store). The store primitive, its spec grammar
+// and the claim file rules are covered by test_content_store.
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <regex>
 #include <sstream>
 #include <thread>
 
 #include "sim/report.hh"
+#include "sim/warmup_cache.hh"
 #include "sweep/journal.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep.hh"
@@ -84,6 +90,75 @@ spit(const std::string &path, const std::string &text)
     out << text;
 }
 
+/** A forked child and the read end of the pipe it reports through. */
+struct Child
+{
+    pid_t pid = -1;
+    int fd = -1;
+};
+
+/**
+ * Run @p body in a forked child, which writes the returned text to a
+ * pipe and exits 0 (or writes the error and exits 1). The child opens
+ * its own stores: each process brings its own ContentStore.
+ */
+Child
+spawn(const std::function<std::string()> &body)
+{
+    int fds[2];
+    if (pipe(fds) != 0)
+        return {};
+    const pid_t pid = fork();
+    if (pid == 0) {
+        close(fds[0]);
+        int code = 0;
+        std::string out;
+        try {
+            out = body();
+        } catch (const std::exception &e) {
+            out = std::string("error: ") + e.what();
+            code = 1;
+        }
+        if (write(fds[1], out.data(), out.size()) !=
+            static_cast<ssize_t>(out.size()))
+            code = 1;
+        _exit(code);
+    }
+    close(fds[1]);
+    return {pid, fds[0]};
+}
+
+/** Read the child's report to EOF and reap it; it must exit 0. */
+std::string
+reap(const Child &child)
+{
+    std::string out;
+    char buf[256];
+    for (ssize_t k; (k = read(child.fd, buf, sizeof buf)) > 0;)
+        out.append(buf, static_cast<std::size_t>(k));
+    close(child.fd);
+    int status = 0;
+    EXPECT_EQ(waitpid(child.pid, &status, 0), child.pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+    return out;
+}
+
+/** "simulated cached fingerprint" of one cached sweep over @p grid. */
+std::string
+sweepReport(const std::string &dir,
+            const std::vector<sweep::GridPoint> &grid)
+{
+    sweep::ResultCache cache({dir, 0, 0});
+    sweep::SweepOptions so;
+    so.threads = 2;
+    sweep::OrchestrateOptions oopts;
+    oopts.cache = &cache;
+    const auto run = sweep::runJournaled(so, grid, oopts);
+    return std::to_string(run.simulated) + " " +
+           std::to_string(run.cached) + " " +
+           fingerprintHex(sweep::sweepFingerprint(run.results));
+}
+
 TEST(ResultCache, StoreLoadRoundTripVerifiesEverything)
 {
     const auto grid = smallGrid();
@@ -108,15 +183,9 @@ TEST(ResultCache, StoreLoadRoundTripVerifiesEverything)
     EXPECT_EQ(hit->stats.hostPerf.seconds,
               direct[0].stats.hostPerf.seconds);
 
-    // By-fingerprint lookup (the server's restart path) agrees.
-    const auto by_fp =
-        cache.loadByFp(sweep::pointFingerprint(grid[0]));
-    ASSERT_TRUE(by_fp.has_value());
-    EXPECT_EQ(statsFingerprint(by_fp->stats),
-              statsFingerprint(direct[0].stats));
-
-    // Unknown fingerprints miss cleanly.
-    EXPECT_FALSE(cache.loadByFp(0xdeadbeefu).has_value());
+    // A point that was never stored misses cleanly.
+    EXPECT_FALSE(cache.load(grid[1]).has_value());
+    EXPECT_EQ(cache.stats().rejected, 0u);
 
     // Failed results are never stored.
     sweep::PointResult bad = direct[1];
@@ -340,6 +409,95 @@ TEST(ResultCache, ConcurrentShardsShareOneStore)
     EXPECT_EQ(warm.cached, grid.size());
     EXPECT_EQ(sweep::sweepFingerprint(warm.results),
               sweep::sweepFingerprint(direct));
+}
+
+TEST(ResultCache, ClaimedPointIsWaitedForThenLoaded)
+{
+    // While this process holds one point's claim, a child sweeping the
+    // grid simulates everything else and then waits. Once the point is
+    // published and released, the child loads it instead of
+    // simulating it.
+    const auto grid = smallGrid();
+    const auto direct = sweep::SweepEngine().run(grid);
+    const std::string dir = tempDir("claim_wait");
+    sweep::ResultCache cache({dir, 0, 0});
+    ContentStore::Claim held = cache.tryClaim(grid[2]);
+    ASSERT_TRUE(held);
+
+    const Child child = spawn([&] { return sweepReport(dir, grid); });
+    ASSERT_GE(child.pid, 0);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(2);
+    while (cache.entryCount() < grid.size() - 1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(cache.entryCount(), grid.size() - 1);
+    // Every other point is in; the child is still waiting on ours.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    int status = 0;
+    EXPECT_EQ(waitpid(child.pid, &status, WNOHANG), 0);
+
+    cache.store(grid[2], direct[2]);
+    held.release();
+    EXPECT_EQ(reap(child),
+              std::to_string(grid.size() - 1) + " 1 " +
+                  fingerprintHex(sweep::sweepFingerprint(direct)));
+}
+
+TEST(ResultCache, ConcurrentProcessesSimulateEachPointOnce)
+{
+    // Two processes over overlapping grids (points 0-3 and 2-5) on one
+    // store: the shared points run once between them, and each sweep
+    // matches its grid swept alone.
+    const auto grid = smallGrid();
+    const std::vector<sweep::GridPoint> a(grid.begin(), grid.begin() + 4);
+    const std::vector<sweep::GridPoint> b(grid.begin() + 2, grid.end());
+    const std::string dir = tempDir("claim_overlap");
+    const Child ca = spawn([&] { return sweepReport(dir, a); });
+    const Child cb = spawn([&] { return sweepReport(dir, b); });
+    ASSERT_GE(ca.pid, 0);
+    ASSERT_GE(cb.pid, 0);
+    std::istringstream ra(reap(ca)), rb(reap(cb));
+    std::size_t sim_a = 0, cached_a = 0, sim_b = 0, cached_b = 0;
+    std::string fp_a, fp_b;
+    ra >> sim_a >> cached_a >> fp_a;
+    rb >> sim_b >> cached_b >> fp_b;
+    EXPECT_EQ(sim_a + sim_b, grid.size());
+    EXPECT_EQ(sim_a + cached_a, a.size());
+    EXPECT_EQ(sim_b + cached_b, b.size());
+    EXPECT_EQ(fp_a, fingerprintHex(sweep::sweepFingerprint(
+                        sweep::SweepEngine().run(a))));
+    EXPECT_EQ(fp_b, fingerprintHex(sweep::sweepFingerprint(
+                        sweep::SweepEngine().run(b))));
+    EXPECT_EQ(sweep::ResultCache({dir, 0, 0}).entryCount(), grid.size());
+}
+
+TEST(ResultCache, TwoProcessesWarmOneIdentityOnce)
+{
+    // The warmup store's claim spans processes: of two children running
+    // one warmup identity, one warms and stores, the other restores.
+    const sweep::GridPoint p = smallGrid()[0];
+    const std::string dir = tempDir("claim_warmup");
+    auto warm = [&] {
+        WarmupCache cache({dir, 0, 0});
+        SimSession session(p.config, p.traces, p.budget);
+        const RunStats stats = runSession(session, &cache);
+        return std::to_string(cache.stats().stores) + " " +
+               fingerprintHex(statsFingerprint(stats));
+    };
+    const Child c1 = spawn(warm);
+    const Child c2 = spawn(warm);
+    ASSERT_GE(c1.pid, 0);
+    ASSERT_GE(c2.pid, 0);
+    std::istringstream r1(reap(c1)), r2(reap(c2));
+    std::size_t stores1 = 0, stores2 = 0;
+    std::string fp1, fp2;
+    r1 >> stores1 >> fp1;
+    r2 >> stores2 >> fp2;
+    EXPECT_EQ(stores1 + stores2, 1u);
+    EXPECT_EQ(fp1, fp2);
+    EXPECT_EQ(fp1, fingerprintHex(statsFingerprint(
+                       sweep::simulatePoint(p, nullptr))));
 }
 
 TEST(ResultCache, OverlappingGridsShareEntries)
